@@ -62,6 +62,19 @@ class Grid:
         """ndimage boundary mode implementing the extension rule."""
         return "wrap" if self.periodic[axis] else "nearest"
 
+    def pad(self, values: np.ndarray, halo: Sequence[int]) -> np.ndarray:
+        """Extend values by halo[a] nodes at both ends of grid axis a.
+
+        Periodic axes wrap, the others repeat their edge value; trailing
+        component axes are left alone.
+        """
+        out = np.asarray(values)
+        for axis, k in enumerate(halo):
+            width = [(0, 0)] * out.ndim
+            width[axis] = (k, k)
+            out = np.pad(out, width, mode="wrap" if self.periodic[axis] else "edge")
+        return out
+
     @property
     def box_diameter(self) -> float:
         return float(np.hypot(*[u - l for l, u in zip(self.lower, self.upper)])) \
@@ -320,32 +333,15 @@ def mollify_array(values: np.ndarray, grid: Grid, delta: float) -> np.ndarray:
     """
     moll = Mollifier(delta)
     values = np.asarray(values, dtype=float)
-    extra = values.shape[grid.d:]
-    flat = values.reshape(grid.shape + (-1,))
-    out = np.empty_like(flat)
+    w = moll.taps_1d(grid.h[0]) if grid.d == 1 else moll.taps_radial(grid.h)
+    halo = [(s - 1) // 2 for s in w.shape]
+    padded = grid.pad(values.reshape(grid.shape + (-1,)), halo)
     if grid.d == 1:
-        w = moll.taps_1d(grid.h[0])
-        for c in range(flat.shape[-1]):
-            out[:, c] = ndimage.correlate1d(
-                flat[:, c], w, mode=grid.extension_mode(0)
-            )
+        out = ndimage.correlate1d(padded, w, axis=0, mode="constant")
     else:
-        w = moll.taps_radial(grid.h)
-        modes = {grid.extension_mode(a) for a in range(2)}
-        if len(modes) == 1:
-            mode = modes.pop()
-            for c in range(flat.shape[-1]):
-                out[..., c] = ndimage.correlate(flat[..., c], w, mode=mode)
-        else:
-            ki, kj = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
-            pad_modes = ["wrap" if grid.periodic[a] else "edge" for a in range(2)]
-            for c in range(flat.shape[-1]):
-                padded = np.pad(flat[..., c], ((ki, ki), (0, 0)), mode=pad_modes[0])
-                padded = np.pad(padded, ((0, 0), (kj, kj)), mode=pad_modes[1])
-                out[..., c] = ndimage.correlate(padded, w, mode="constant")[
-                    ki:-ki or None, kj:-kj or None
-                ]
-    return out.reshape(values.shape)
+        out = ndimage.correlate(padded, w[..., None], mode="constant")
+    inner = tuple(slice(k, k + n) for k, n in zip(halo, grid.shape))
+    return out[inner].reshape(values.shape)
 
 
 def mollify(field: CoefficientField, delta: float) -> CoefficientField:

@@ -93,18 +93,28 @@ class Law:
         """
         if grid is None:
             grid = ensemble.grid
-        edge_list = []
+        # One bincount over (stamp, cell) indices. The bins are those of
+        # np.histogramdd on positions clipped into the box: edges[b] <= x <
+        # edges[b+1], the last bin closed, NaN dropped. The arithmetic guess
+        # is off by at most one bin and is corrected against the edges.
+        nt = ensemble.times.size
+        cell = np.broadcast_to(np.arange(nt), ensemble.paths.shape[:2])
+        valid = ~np.isnan(ensemble.paths).any(axis=-1)
         for ax in range(grid.d):
             x = grid.nodes(ax)
             h = grid.h[ax]
-            edge_list.append(np.concatenate([[x[0] - h / 2], x + h / 2]))
-        slices = np.empty((ensemble.times.size,) + grid.shape)
-        for k in range(ensemble.times.size):
-            pts = [np.clip(ensemble.paths[:, k, ax],
-                           edge_list[ax][0], edge_list[ax][-1])
-                   for ax in range(grid.d)]
-            counts, _ = np.histogramdd(pts, bins=edge_list)
-            slices[k] = counts / (counts.sum() * grid.cell_volume)
+            edges = np.concatenate([[x[0] - h / 2], x + h / 2])
+            pos = np.clip(ensemble.paths[..., ax], edges[0], edges[-1])
+            with np.errstate(invalid="ignore"):
+                b = ((pos - edges[0]) / h).astype(np.intp)
+            np.clip(b, 0, x.size - 1, out=b)
+            b -= pos < edges[b]
+            b += (pos >= edges[b + 1]) & (b < x.size - 1)
+            cell = cell * x.size + b
+        counts = np.bincount(cell[valid], minlength=nt * np.prod(grid.shape))
+        counts = counts.reshape((nt, -1))
+        slices = counts / (counts.sum(axis=1, keepdims=True) * grid.cell_volume)
+        slices = slices.reshape((nt,) + grid.shape)
         if bandwidth is not None:
             for ax in range(grid.d):
                 slices = ndimage.gaussian_filter1d(

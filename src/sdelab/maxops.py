@@ -73,29 +73,33 @@ class RadiusSchedule:
         return RadiusSchedule(tuple(np.sort(np.concatenate([r, mids]))))
 
 
-def _disc_kernel(grid: Grid, r: float) -> np.ndarray:
+def _disc_mask(grid: Grid, r: float) -> np.ndarray:
     hx, hy = grid.h
     ki, kj = int(r / hx), int(r / hy)
     oi = hx * np.arange(-ki, ki + 1)
     oj = hy * np.arange(-kj, kj + 1)
-    mask = (oi[:, None] ** 2 + oj[None, :] ** 2) <= r * r + 1e-12
-    return mask / mask.sum()
+    return (oi[:, None] ** 2 + oj[None, :] ** 2) <= r * r + 1e-12
 
 
 def _ball_average(f: np.ndarray, grid: Grid, r: float) -> np.ndarray:
     if grid.d == 1:
         size = 2 * int(r / grid.h[0]) + 1
         return ndimage.uniform_filter1d(f, size, mode=grid.extension_mode(0))
-    modes = [grid.extension_mode(a) for a in range(2)]
-    k = _disc_kernel(grid, r)
-    if modes[0] == modes[1]:
-        return ndimage.correlate(f, k, mode=modes[0])
-    ki, kj = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
-    pad0 = "wrap" if grid.periodic[0] else "edge"
-    pad1 = "wrap" if grid.periodic[1] else "edge"
-    padded = np.pad(f, ((ki, ki), (0, 0)), mode=pad0)
-    padded = np.pad(padded, ((0, 0), (kj, kj)), mode=pad1)
-    return ndimage.correlate(padded, k, mode="constant")[ki:-ki or None, kj:-kj or None]
+    # Row spans of one cumulative sum along axis 0 (a summed-area table in
+    # one direction, Crow 1984): mask column b covers rows a0..a1, which add
+    # up to C[i+a1+1, j+b] - C[i+a0, j+b]. O(n^2 r) work, O(n^2) memory.
+    mask = _disc_mask(grid, r)
+    halo = [(s - 1) // 2 for s in mask.shape]
+    padded = grid.pad(f, halo)
+    C = np.zeros((padded.shape[0] + 1, padded.shape[1]))
+    np.cumsum(padded, axis=0, out=C[1:])
+    n0, n1 = f.shape
+    total = np.zeros(f.shape)
+    for b, column in enumerate(mask.T):
+        rows = np.flatnonzero(column)
+        a0, a1 = rows[0], rows[-1]
+        total += C[a1 + 1:a1 + 1 + n0, b:b + n1] - C[a0:a0 + n0, b:b + n1]
+    return total / np.count_nonzero(mask)
 
 
 def maximal(f: np.ndarray, grid: Grid,
@@ -175,18 +179,12 @@ def maximal_modified(g: np.ndarray, grid: Grid, L: float) -> np.ndarray:
             return np.sign(s) * np.log1p(L * np.abs(s))
 
         w = np.clip(anti(hi) - anti(lo), 0.0, None)
-        pad_mode = "wrap" if grid.periodic[0] else "edge"
-        padded = np.pad(gt, (k, k), mode=pad_mode)
-        integral = np.convolve(padded, w[::-1], mode="valid")
+        integral = np.convolve(grid.pad(gt, (k,)), w[::-1], mode="valid")
     else:
         w = _ml_kernel_2d(grid, L)
         ki, kj = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
-        pad0 = "wrap" if grid.periodic[0] else "edge"
-        pad1 = "wrap" if grid.periodic[1] else "edge"
-        padded = np.pad(gt, ((ki, ki), (0, 0)), mode=pad0)
-        padded = np.pad(padded, ((0, 0), (kj, kj)), mode=pad1)
-        integral = ndimage.correlate(padded, w, mode="constant")[
-            ki:-ki or None, kj:-kj or None
+        integral = ndimage.correlate(grid.pad(gt, (ki, kj)), w, mode="constant")[
+            ki:ki + grid.shape[0], kj:kj + grid.shape[1]
         ]
     return thr + integral
 

@@ -75,10 +75,6 @@ class BrownianStore:
     def r(self) -> int:
         return self.increments.shape[2]
 
-    def path_seed(self, i: int) -> int:
-        """Derived per-path stream identifier (metadata for reproducibility)."""
-        return (self.seed << 20) ^ i
-
     def coarsen(self, factor: int) -> "BrownianStore":
         if factor < 1 or self.n_steps % factor:
             raise ValueError("factor must divide the step count")
@@ -360,17 +356,6 @@ def q_tilde_functional(ensA: PathEnsemble, ensB: PathEnsemble, eps: float,
     U[:, 1:] = np.cumsum(0.5 * (lam[:, 1:] + lam[:, :-1]) * dt, axis=1)
     samples = np.exp(-U) * delta * np.log1p((delta / eps) ** 2)
     return _series("Qtilde", {"eps": eps}, t, samples)
-
-
-def weight_process(ensA: PathEnsemble, ensB: PathEnsemble,
-                   h_tilde: np.ndarray) -> np.ndarray:
-    """The nondecreasing accumulator U_t per path (trapezoid in t)."""
-    lam = 4.0 * (ensA.interp_values(h_tilde, ensA.paths[..., 0])
-                 + ensB.interp_values(h_tilde, ensB.paths[..., 0]))
-    U = np.zeros_like(lam)
-    U[:, 1:] = np.cumsum(0.5 * (lam[:, 1:] + lam[:, :-1])
-                         * np.diff(ensA.times), axis=1)
-    return U
 
 
 def _smoothstep(s):

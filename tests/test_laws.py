@@ -1,7 +1,11 @@
 """Time-indexed laws: normalization, expectations, marginals."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdelab import BrownianStore, Law, make_grid, preset_field, simulate_ensemble
 
@@ -76,3 +80,34 @@ def test_from_ensemble_2d(grid2d):
     assert law.density.shape == (2,) + grid2d.shape
     mass = grid2d.cell_volume * law.density.reshape(2, -1).sum(axis=1)
     assert np.allclose(mass, 1.0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([1, 2]),
+       cells=st.integers(8, 40))
+def test_from_ensemble_bins_match_histogramdd(seed, d, cells):
+    """Counts equal np.histogramdd on clipped positions, including positions
+    on bin edges, one ulp either side of them, outside the box and NaN."""
+    bounds = (-1.0, 1.5) if d == 1 else ((-1.0, 1.5), (-2.0, 0.5))
+    grid = make_grid(d, bounds, cells)
+    rng = np.random.default_rng(seed)
+    edges = [np.concatenate([[x[0] - h / 2], x + h / 2])
+             for x, h in ((grid.nodes(a), grid.h[a]) for a in range(d))]
+    n, nt = 400, 3
+    paths = np.empty((n, nt, d))
+    for a, e in enumerate(edges):
+        on_edge = rng.choice(e, n * nt)
+        nudged = np.nextafter(on_edge, rng.choice([-np.inf, np.inf], n * nt))
+        wide = rng.uniform(e[0] - 0.5, e[-1] + 0.5, n * nt)
+        pick = rng.integers(0, 3, n * nt)
+        paths[..., a] = np.choose(pick, [on_edge, nudged, wide]).reshape(n, nt)
+    paths[rng.random((n, nt)) < 0.05, 0] = np.nan
+    ens = SimpleNamespace(grid=grid, times=np.arange(nt, dtype=float),
+                          paths=paths)
+    law = Law.from_ensemble(ens)
+    for k in range(nt):
+        pts = [np.clip(paths[:, k, a], e[0], e[-1]) for a, e in enumerate(edges)]
+        counts, _ = np.histogramdd(pts, bins=edges)
+        slice_k = counts / (counts.sum() * grid.cell_volume)
+        slice_k /= grid.cell_volume * slice_k.sum()  # Law's unit-mass step
+        assert np.array_equal(law.density[k], slice_k)

@@ -1,15 +1,20 @@
 """Maximal operators, the half-derivative and the pair scans."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from sdelab import (
+    Law,
     RadiusSchedule,
     check_pointwise_bound,
     gradient,
     gradient_magnitude,
+    h1_norm,
     half_derivative,
     make_grid,
     maximal,
@@ -82,6 +87,91 @@ def test_maximal_homogeneous(grid1d, rng):
 def test_maximal_2d_constant(grid2d):
     out = maximal(np.ones(grid2d.shape), grid2d)
     assert np.allclose(out, 1.0)
+
+
+def _disc_kernel(grid, r):
+    """Unit-mass weights on the node offsets with |offset|^2 <= r^2."""
+    hx, hy = grid.h
+    ki, kj = int(r / hx), int(r / hy)
+    oi = hx * np.arange(-ki, ki + 1)
+    oj = hy * np.arange(-kj, kj + 1)
+    mask = (oi[:, None] ** 2 + oj[None, :] ** 2) <= r * r + 1e-12
+    return mask / mask.sum()
+
+
+def _dense_maximal(f, grid, schedule):
+    """Oracle: max over radii of dense disc correlations of the extended f."""
+    out = np.full(f.shape, -np.inf)
+    for r in schedule.radii:
+        k = _disc_kernel(grid, r)
+        ki, kj = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
+        ext = np.pad(f, ((ki, ki), (0, 0)),
+                     mode="wrap" if grid.periodic[0] else "edge")
+        ext = np.pad(ext, ((0, 0), (kj, kj)),
+                     mode="wrap" if grid.periodic[1] else "edge")
+        avg = ndimage.correlate(ext, k, mode="constant")
+        np.maximum(out, avg[ki:ki + f.shape[0], kj:kj + f.shape[1]], out=out)
+    return out
+
+
+@pytest.mark.parametrize("periodic", [False, True, (True, False)],
+                         ids=["edge", "wrap", "mixed"])
+@pytest.mark.parametrize("cells", [64, 128])
+def test_maximal_2d_matches_dense_disc_correlation(cells, periodic):
+    grid = make_grid(2, ((-4.0, 4.0), (-4.0, 4.0)), cells, periodic=periodic)
+    # scipy's border offset tables for the dense oracle grow like r^4: the
+    # full schedule at 64^2, radii up to 16 cells at 128^2 (all radii there
+    # would need 1.7 GB per call)
+    r_max = None if cells == 64 else 16 * grid.h[0]
+    schedule = RadiusSchedule.geometric(grid, r_max=r_max)
+    f = np.random.default_rng(cells).random(grid.shape)
+    np.testing.assert_allclose(maximal(f, grid, schedule),
+                               _dense_maximal(f, grid, schedule),
+                               rtol=1e-12, atol=0)
+
+
+def test_maximal_2d_matches_dense_on_anisotropic_grid(grid2d, rng):
+    assert grid2d.h == (1 / 16, 3 / 32)
+    schedule = RadiusSchedule.geometric(grid2d)
+    f = rng.random(grid2d.shape)
+    np.testing.assert_allclose(maximal(f, grid2d),
+                               _dense_maximal(f, grid2d, schedule),
+                               rtol=1e-12, atol=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       periodic=st.sampled_from([False, True, (True, False), (False, True)]))
+def test_maximal_2d_monotone_and_sublinear(seed, periodic):
+    """f <= g implies Mf <= Mg, and M(f+g) <= Mf + Mg, on every boundary."""
+    grid = make_grid(2, ((-1.0, 1.0), (-1.5, 1.5)), 32, periodic=periodic)
+    rng = np.random.default_rng(seed)
+    f = rng.random(grid.shape)
+    g = f + rng.random(grid.shape)
+    mf, mg = maximal(f, grid), maximal(g, grid)
+    assert np.all(mf <= mg + 1e-12)
+    assert np.all(maximal(f + g, grid) <= mf + mg + 1e-12)
+
+
+def test_maximal_operators_on_256_squared_grid():
+    """The thm_multidim_convergence default grid, [-4, 4]^2 at 256 cells.
+
+    The kinetic drift has a kink at |x| = 1, so |grad F| is not constant.
+    """
+    grid = make_grid(2, ((-4.0, 4.0), (-4.0, 4.0)), 256)
+    drift = preset_field("kinetic_langevin", {}, grid).drift
+    g = gradient_magnitude(drift, grid)
+    start = time.perf_counter()
+    m = maximal(g, grid)
+    assert time.perf_counter() - start < 1.0
+    assert np.all(m >= g.min() - 1e-12) and np.all(m <= g.max() + 1e-12)
+    assert np.any(m > g + 1e-3)
+    L = float(np.e)
+    assert np.all(maximal_modified(g, grid, L) >= np.sqrt(np.log(L)))
+    x, v = grid.meshgrid()
+    slices = np.stack([np.exp(-0.5 * ((x - c) ** 2 + v * v)) for c in (0.0, 1.0)])
+    h1 = h1_norm(drift, Law.from_slices(grid, [0.0, 1.0], slices), 1.0)
+    assert np.isfinite(h1.value) and h1.value > 0
 
 
 def test_maximal_modified_threshold_floor(grid1d):

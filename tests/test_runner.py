@@ -1,9 +1,14 @@
 """Config validation, scenario execution and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdelab
 from sdelab import ConfigError, SCENARIOS, emit_plotdata, run_scenario, validate_config
 from sdelab.runner import main
 
@@ -126,3 +131,16 @@ def test_cli_run(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
     assert "pass" in capsys.readouterr().out
+
+
+def test_python_m_sdelab_runs_without_runpy_warning():
+    src = str(Path(sdelab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sdelab",
+         "list-scenarios"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(SCENARIOS)[0] in proc.stdout
