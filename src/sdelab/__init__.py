@@ -67,6 +67,7 @@ from .sde import (  # noqa: F401
     q_functional,
     q_tilde_functional,
     simulate_ensemble,
+    simulate_family,
     uniqueness_map,
 )
 from .runner import (  # noqa: F401

@@ -348,8 +348,7 @@ def _sweep(u: np.ndarray, speed: np.ndarray, h: float, dt: float,
         return _sweep(u.T, speed.T, h, dt, 0, flux).T
     s_half = 0.5 * (speed[:-1] + speed[1:])
     if flux == "upwind":
-        phi = (np.maximum(s_half, 0.0) * u[:-1]
-               + np.minimum(s_half, 0.0) * u[1:])
+        phi = _advect_upwind(u, s_half)
     elif flux == "centered":
         phi = s_half * 0.5 * (u[:-1] + u[1:])
     else:

@@ -30,6 +30,8 @@ class Law:
             raise ValueError(
                 f"density shape {density.shape} != {(times.size,) + self.grid.shape}"
             )
+        if not np.all(np.isfinite(density)):
+            raise ValueError("density must be finite")
         if np.any(density < 0):
             raise ValueError("density must be nonnegative")
         mass = self.grid.cell_volume * density.reshape(times.size, -1).sum(axis=1)

@@ -13,7 +13,6 @@ Reruns with the same config and seed are bit-identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -50,7 +49,7 @@ from .sde import (
     l_eps_functional,
     q_functional,
     q_tilde_functional,
-    simulate_ensemble,
+    simulate_family,
     stability_cap,
     uniqueness_map,
 )
@@ -219,19 +218,17 @@ def validate_config(raw: dict) -> dict:
             [f"scenario: {name!r} unknown; choose from {sorted(SCENARIOS)}"]
         )
     cfg = json.loads(json.dumps(_DEFAULTS[name]))  # deep copy of defaults
-    known = set(cfg) | {"scenario", "seed", "out", "threads"}
+    known = set(cfg) | {"scenario", "seed", "out"}
     for key in raw:
         if key not in known:
             errors.append(f"{key}: not a parameter of scenario {name}")
     cfg.update({k: v for k, v in raw.items() if k in known})
     cfg["scenario"] = name
     cfg.setdefault("seed", 0)
-    cfg.setdefault("threads", 1)
 
     seed = cfg["seed"]
     if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
         errors.append("seed: must be a nonnegative integer")
-    _positive(cfg, "threads", errors, integer=True)
 
     grid = _check_grid(cfg.get("grid", {}), errors)
     preset = cfg.get("preset", {})
@@ -371,32 +368,26 @@ def _initial_density(grid, spec) -> np.ndarray:
     raise ValueError(f"unknown initial density kind {spec.get('kind')!r}")
 
 
-def _simulate_family(fields, x0, T, store, record_every, threads):
-    def one(f):
-        return simulate_ensemble(f, x0, T, store, record_every=record_every)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(one, fields))
-    return [one(f) for f in fields]
-
-
 def _exit_report(ensembles) -> Report:
     fractions = [e.exit_fraction for e in ensembles]
     return Report("exit_fraction", max(fractions) <= MAX_EXIT_FRACTION,
                   {"fractions": fractions, "max_allowed": MAX_EXIT_FRACTION})
 
 
+def _eps_series(emit: _Emitter, name, column, epsilons, functional) -> list:
+    """Emit a row (epsilon, t, value, stderr) per stamp of functional(eps)."""
+    series = [functional(eps) for eps in epsilons]
+    emit.series(name, ["epsilon", "t", column, "stderr"],
+                [(eps, t, v, s) for eps, fs in zip(epsilons, series)
+                 for t, v, s in zip(fs.times, fs.values, fs.stderr)])
+    return series
+
+
 def _q_sweep(emit: _Emitter, ensA, ensB, epsilons) -> None:
-    rows = []
-    sups, sup_ses = [], []
-    for eps in epsilons:
-        fs = q_functional(ensA, ensB, eps)
-        sups.append(fs.sup)
-        sup_ses.append(fs.sup_stderr)
-        for t, v, s in zip(fs.times, fs.values, fs.stderr):
-            rows.append((eps, t, v, s))
-    emit.series("q_functional", ["epsilon", "t", "EQ", "stderr"], rows)
+    series = _eps_series(emit, "q_functional", "EQ", epsilons,
+                         lambda eps: q_functional(ensA, ensB, eps))
+    sups = [fs.sup for fs in series]
+    sup_ses = [fs.sup_stderr for fs in series]
     logs = np.abs(np.log(np.asarray(epsilons, dtype=float)))
     ratios = np.asarray(sups) / logs
     errs = np.asarray(sup_ses) / logs
@@ -422,8 +413,8 @@ def _scn_convergence(cfg, emit: _Emitter):
     steps = int(round(cfg["T"] / dt))
     store = BrownianStore.generate(cfg["seed"], cfg["n_paths"], steps, dt, base.r)
     emit.report(store.validate())
-    ens = _simulate_family(fields, np.asarray(cfg["x0"], dtype=float),
-                           cfg["T"], store, cfg["record_every"], cfg["threads"])
+    ens = simulate_family(fields, cfg["x0"], cfg["T"], store,
+                          record_every=cfg["record_every"])
     emit.report(_exit_report(ens))
 
     cd = cauchy_diagnostic(ens, p=cfg["p"])
@@ -442,20 +433,12 @@ def _scn_convergence(cfg, emit: _Emitter):
 
     if grid.d == 1:
         h_tilde = maximal(gradient_magnitude(base.drift, grid), grid)
-        rows = []
-        for eps in cfg["epsilons"]:
-            fs = q_tilde_functional(ens[-2], ens[-1], eps, h_tilde)
-            for t, v, s in zip(fs.times, fs.values, fs.stderr):
-                rows.append((eps, t, v, s))
-        emit.series("q_tilde", ["epsilon", "t", "EQtilde", "stderr"], rows)
+        _eps_series(emit, "q_tilde", "EQtilde", cfg["epsilons"],
+                    lambda eps: q_tilde_functional(ens[-2], ens[-1], eps, h_tilde))
         schedule = dyadic_eps_schedule(*cfg["block_eps"])
         emit.report(dyadic_block_averages(ens[-2], ens[-1], schedule))
-        rows = []
-        for eps in cfg["epsilons"]:
-            fs = l_eps_functional(ens[-2], ens[-1], eps)
-            for t, v, s in zip(fs.times, fs.values, fs.stderr):
-                rows.append((eps, t, v, s))
-        emit.series("l_eps", ["epsilon", "t", "EL", "stderr"], rows)
+        _eps_series(emit, "l_eps", "EL", cfg["epsilons"],
+                    lambda eps: l_eps_functional(ens[-2], ens[-1], eps))
 
 
 def _scn_elliptic_energy(cfg, emit: _Emitter):
@@ -567,13 +550,11 @@ _SCENARIO_FN = {
 }
 
 
-def run_scenario(config: dict, out_dir=None, seed=None, threads=None) -> RunArtifact:
+def run_scenario(config: dict, out_dir=None, seed=None) -> RunArtifact:
     """Validate, execute and archive one scenario run."""
     raw = dict(config)
     if seed is not None:
         raw["seed"] = seed
-    if threads is not None:
-        raw["threads"] = threads
     cfg = validate_config(raw)
     out = Path(out_dir if out_dir is not None else cfg.get("out", "run_out"))
     emit = _Emitter(out)
@@ -624,8 +605,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override seed")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads for independent simulations")
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("config")
     sub.add_parser("list-scenarios", help="print the scenario catalogue")
@@ -653,8 +632,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        artifact = run_scenario(raw, out_dir=args.out, seed=args.seed,
-                                threads=args.threads)
+        artifact = run_scenario(raw, out_dir=args.out, seed=args.seed)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"invalid: {e}", file=sys.stderr)

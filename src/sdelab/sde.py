@@ -9,6 +9,7 @@ which is what makes the pairwise difference functionals meaningful.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field as dc_field
 
@@ -24,6 +25,7 @@ __all__ = [
     "PathEnsemble",
     "FunctionalSeries",
     "simulate_ensemble",
+    "simulate_family",
     "q_functional",
     "q_tilde_functional",
     "l_eps_functional",
@@ -138,7 +140,7 @@ class PathEnsemble:
 
     def interp_values(self, grid_values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Linear interpolation of a 1-D grid function at path positions."""
-        return _interp1(grid_values, self.grid, x)
+        return _interpolate(grid_values, self.grid, x[..., None])
 
 
 @dataclass(frozen=True)
@@ -171,74 +173,73 @@ class FunctionalSeries:
 # -- field evaluation along paths -------------------------------------------
 
 
-def _interp1(values: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
-    lo, h = grid.lower[0], grid.h[0]
-    n = grid.shape[0]
-    if grid.periodic[0]:
-        pos = np.mod(x - lo, grid.upper[0] - lo) / h
-        i0 = pos.astype(np.int64)
-        frac = pos - i0
-        i1 = (i0 + 1) % n
-    else:
-        pos = np.clip((x - lo) / h, 0.0, n - 1.0)
-        i0 = np.minimum(pos.astype(np.int64), n - 2)
-        frac = pos - i0
-        i1 = i0 + 1
-    v = values.reshape(n, -1)
-    out = v[i0] * (1.0 - frac)[..., None] + v[i1] * frac[..., None]
-    return out.reshape(x.shape + values.shape[1:]) if values.ndim > 1 \
-        else out.reshape(x.shape)
+def _axes(grid: Grid):
+    """Constants of the interpolation, hoisted out of step loops: per axis
+    the lower bound, box length, step, node count and periodicity, and the
+    offsets from ``_locate``'s flat index to the 2^d corners of its cell in
+    ``_table``, corners with axis 0 fastest."""
+    axes = [(grid.lower[a], grid.upper[a] - grid.lower[a], grid.h[a],
+             grid.shape[a], grid.periodic[a]) for a in range(grid.d)]
+    strides = np.cumprod((1,) + tuple(n + 2 for n in grid.shape[:0:-1]))[::-1]
+    return axes, np.array([sum((1 + (c >> a & 1)) * s for a, s in enumerate(strides))
+                           for c in range(2 ** grid.d)])
 
 
-def _interp2(values: np.ndarray, grid: Grid, xy: np.ndarray) -> np.ndarray:
-    # xy: (..., 2); bilinear with clamp/wrap per axis
-    idx = []
-    frac = []
-    for ax in range(2):
-        lo, h = grid.lower[ax], grid.h[ax]
-        n = grid.shape[ax]
-        if grid.periodic[ax]:
-            pos = np.mod(xy[..., ax] - lo, grid.upper[ax] - lo) / h
-            i0 = pos.astype(np.int64)
-            f = pos - i0
-            i1 = (i0 + 1) % n
+def _locate(axes, coords):
+    """Cell index and corner weights of positions given per axis.
+
+    coords[a] holds the axis-a coordinates. Per axis the cell index is
+    clamped (or wrapped) and weighted (1 - f, f); the 2^d corner weights are
+    products of these, corners with axis 0 fastest. The flat index counts
+    nodes of the grid padded by one node per side, as in ``_table``.
+    """
+    flat, w = None, None
+    for (lo, span, h, n, periodic), x in zip(axes, coords):
+        if periodic:
+            pos = np.mod(x - lo, span) / h
         else:
-            pos = np.clip((xy[..., ax] - lo) / h, 0.0, n - 1.0)
-            i0 = np.minimum(pos.astype(np.int64), n - 2)
-            f = pos - i0
-            i1 = i0 + 1
-        idx.append((i0, i1))
-        frac.append(f)
-    (i0, i1), (j0, j1) = idx
-    fx, fy = frac
-    extra = values.shape[2:]
-    v = values.reshape(values.shape[0], values.shape[1], -1)
-    out = (v[i0, j0] * ((1 - fx) * (1 - fy))[..., None]
-           + v[i1, j0] * (fx * (1 - fy))[..., None]
-           + v[i0, j1] * ((1 - fx) * fy)[..., None]
-           + v[i1, j1] * (fx * fy)[..., None])
-    return out.reshape(xy.shape[:-1] + extra) if extra else out[..., 0]
+            pos = np.minimum(np.maximum((x - lo) / h, 0.0), n - 1.0)
+        # a position that rounds onto the far end of a periodic axis keeps
+        # f = 1 in the last cell, whose upper corner wraps to node 0
+        cell = np.minimum(np.floor(pos), n - 1 if periodic else n - 2)
+        f = pos - cell
+        i = cell.astype(np.intp)
+        flat = i if flat is None else flat * (n + 2) + i
+        w = [1.0 - f, f] if w is None else [wc * g for g in (1.0 - f, f) for wc in w]
+    return flat, w
 
 
-def _eval_field(field: CoefficientField, x: np.ndarray):
-    """Drift (N, d) and diffusion (N, d, r) at positions x (N, d)."""
-    g = field.grid
-    if g.d == 1:
-        xx = x[:, 0]
-        F = _interp1(field.drift, g, xx)
-        S = _interp1(field.diffusion.reshape(g.shape[0], -1), g, xx)
-        return F.reshape(-1, 1), S.reshape(-1, 1, field.r)
-    F = _interp2(field.drift, g, x)
-    S = _interp2(field.diffusion, g, x)
-    return F, S
+def _table(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Grid values (*grid.shape, C) as (C, nodes) of the grid padded by one
+    node per side, so that a cell's upper corners follow the extension rule."""
+    padded = grid.pad(values, (1,) * grid.d)
+    return np.ascontiguousarray(padded.reshape(-1, values.shape[-1]).T)
 
 
-def _outside(grid: Grid, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.shape[0], dtype=bool)
-    for ax in range(grid.d):
-        if not grid.periodic[ax]:
-            out |= (x[:, ax] < grid.lower[ax]) | (x[:, ax] > grid.upper[ax])
+def _combine(table: np.ndarray, flat, w, corners, out=None) -> np.ndarray:
+    """Sum over corners c of table[:, flat + corners[c]] * w[c] in corner
+    order, one corner at a time; ``flat`` is shifted in place."""
+    flat += corners[0]
+    out = np.multiply(np.take(table, flat, axis=-1), w[0], out=out)
+    for c in range(1, len(w)):
+        flat += corners[c] - corners[c - 1]
+        out += np.take(table, flat, axis=-1) * w[c]
     return out
+
+
+def _interpolate(values: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of grid values (*grid.shape, ...) at x (..., d).
+
+    The result keeps the memory layout of x, so a reduction over it (such
+    as a per-path trapezoid) adds in the same order as over x itself.
+    """
+    extra = values.shape[grid.d:]
+    table = _table(grid, values.reshape(grid.shape + (-1,)))
+    axes, corners = _axes(grid)
+    out = np.empty_like(x[..., :1], shape=x.shape[:-1] + table.shape[:1])
+    _combine(table, *_locate(axes, np.moveaxis(x, -1, 0)), corners,
+             out=np.moveaxis(out, -1, 0))
+    return out.reshape(x.shape[:-1] + extra)
 
 
 def stability_cap(field: CoefficientField, user_cap: float = np.inf) -> float:
@@ -246,64 +247,86 @@ def stability_cap(field: CoefficientField, user_cap: float = np.inf) -> float:
     return min(0.1 / (1.0 + field.sup_drift + field.sup_diffusion ** 2), user_cap)
 
 
-def simulate_ensemble(field: CoefficientField, x0, T: float,
-                      store: BrownianStore, record_every: int = 1,
-                      check_cap: bool = True) -> PathEnsemble:
-    """Explicit Euler-Maruyama with multilinear coefficient interpolation.
+def simulate_family(fields, x0, T: float, store: BrownianStore,
+                    record_every: int = 1,
+                    check_cap: bool = True) -> list[PathEnsemble]:
+    """Explicit Euler-Maruyama for coupled fields driven by one store.
 
-    Deterministic given (store, field, x0). Paths leaving the box use the
-    grid's extension rule; the exit fraction is reported, not hidden.
+    The members share the grid and the Brownian increments. Each step
+    locates all K x N positions once and reads the drift and diffusion of
+    every member with the same weights from one stacked table, so each
+    member equals its own ``simulate_ensemble`` bit for bit. Deterministic given
+    (store, fields, x0). Paths leaving the box use the grid's extension
+    rule; exit fractions are reported per member.
     """
-    d = field.grid.d
-    if field.r != store.r:
+    fields = list(fields)
+    if not fields or any(f.grid != fields[0].grid for f in fields):
+        raise ValueError("a family needs one or more fields on one grid")
+    grid = fields[0].grid
+    d, r = grid.d, store.r
+    if any(f.r != r for f in fields):
         raise ValueError("noise dimension mismatch between field and store")
     n_steps = int(round(T / store.dt))
     if abs(n_steps * store.dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be a multiple of the store step")
     if n_steps > store.n_steps:
         raise ValueError("store does not cover the horizon")
-    if check_cap and store.dt > stability_cap(field) + 1e-15:
-        raise ValueError(
-            f"dt={store.dt} exceeds the stability cap {stability_cap(field)}"
-        )
-    N = store.n_paths
+    cap = min(stability_cap(f) for f in fields) if check_cap else np.inf
+    if store.dt > cap + 1e-15:
+        raise ValueError(f"dt={store.dt} exceeds the stability cap {cap}")
+    K, N = len(fields), store.n_paths
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 0:
-        X = np.full((N, d), float(x0))
-    elif x0.shape == (d,) and d > 1:
-        X = np.tile(x0, (N, 1))
-    elif x0.shape == (N,):
-        X = x0[:, None].copy()
-        if d != 1:
-            raise ValueError("per-path initial points must have d components")
-    elif x0.shape == (N, d):
-        X = x0.copy()
-    else:
+    if x0.shape not in ((), (d,), (N,), (N, d)):
         raise ValueError(f"initial spec shape {x0.shape} not understood")
+    per_path = x0.shape == (N,) != (d,)
+    if per_path and d != 1:
+        raise ValueError("per-path initial points must have d components")
 
-    rec = list(range(0, n_steps + 1, record_every))
-    if rec[-1] != n_steps:
-        rec.append(n_steps)
+    rec = sorted(set(range(0, n_steps + 1, record_every)) | {n_steps})
     rec_set = {k: idx for idx, k in enumerate(rec)}
-    out = np.empty((N, len(rec), d))
-    out[:, 0] = X
-    exits = 0
+    out = np.empty((K, N, len(rec), d))
+    out[:, :, 0] = x0[:, None] if per_path else x0
+    X = np.moveaxis(out[:, :, 0], -1, 0).copy()  # (d, K, N), component-major
     dt = store.dt
+    axes, corners = _axes(grid)
+    walls = [(a, grid.lower[a], grid.upper[a]) for a in range(d)
+             if not grid.periodic[a]]
+    hits = np.zeros((K, N), dtype=np.int64)
+    # one table for the family: member m's nodes follow those of m - 1
+    table = np.concatenate([_table(grid, np.concatenate(
+        [f.drift, f.diffusion.reshape(grid.shape + (d * r,))], axis=-1))
+        for f in fields], axis=-1)
+    offsets = corners[:, None, None] \
+        + table.shape[-1] // K * np.arange(K)[:, None]  # (2^d, K, 1)
     for k in range(n_steps):
-        F, S = _eval_field(field, X)
-        dW = store.increments[:, k, :]
-        X = X + F * dt + np.einsum("nij,nj->ni", S, dW)
-        if not np.all(np.isfinite(X)):
-            bad = np.nonzero(~np.isfinite(X).all(axis=1))[0][0]
+        # one strided read of the path-major store, then contiguous rows
+        dW = store.increments[:, k, :].T.copy()  # (r, N)
+        FS = _combine(table, *_locate(axes, X), offsets)  # (d + d*r, K, N)
+        X += FS[:d] * dt
+        noise = FS[d::r] * dW[0]
+        for j in range(1, r):
+            noise += FS[d + j::r] * dW[j]
+        X += noise
+        if not np.isfinite(X).all():
+            bad = np.nonzero(~np.isfinite(X).all(axis=0))[1][0]
             raise FloatingPointError(
-                f"non-finite path value at step {k + 1} (path {bad})"
-            )
-        exits += int(np.count_nonzero(_outside(field.grid, X)))
+                f"non-finite path value at step {k + 1} (path {bad})")
+        if walls:
+            hits += functools.reduce(np.logical_or, [(X[a] < lo) | (X[a] > hi)
+                                                     for a, lo, hi in walls])
         if (k + 1) in rec_set:
-            out[:, rec_set[k + 1]] = X
+            out[:, :, rec_set[k + 1]] = np.moveaxis(X, 0, -1)
     times = dt * np.asarray(rec, dtype=float)
-    return PathEnsemble(field, times, out, store, dt, x0,
-                        exit_fraction=exits / (N * n_steps))
+    return [PathEnsemble(f, times, out[m], store, dt, x0,
+                         exit_fraction=int(hits[m].sum()) / (N * n_steps))
+            for m, f in enumerate(fields)]
+
+
+def simulate_ensemble(field: CoefficientField, x0, T: float,
+                      store: BrownianStore, record_every: int = 1,
+                      check_cap: bool = True) -> PathEnsemble:
+    """Explicit Euler-Maruyama for one field: ``simulate_family([field], ...)``."""
+    return simulate_family([field], x0, T, store, record_every, check_cap)[0]
 
 
 # -- pairwise functionals ----------------------------------------------------
@@ -531,12 +554,9 @@ def uniqueness_map(x_points, fieldA: CoefficientField, fieldB: CoefficientField,
         raise ValueError("uniqueness_map is one-dimensional")
     x0 = np.repeat(x_points, n_paths)
     sub = BrownianStore(store.seed, store.dt, store.increments[:need])
-    ensA = simulate_ensemble(fieldA, x0,
-                             t, sub if factorA == 1 else sub.coarsen(factorA),
-                             record_every=max(1, 16 // factorA))
-    ensB = simulate_ensemble(fieldB, x0,
-                             t, sub if factorB == 1 else sub.coarsen(factorB),
-                             record_every=max(1, 16 // factorB))
+    ensA, ensB = (simulate_ensemble(f, x0, t, sub if k == 1 else sub.coarsen(k),
+                                    record_every=max(1, 16 // k))
+                  for f, k in ((fieldA, factorA), (fieldB, factorB)))
     # align recorded stamps
     common = np.intersect1d(np.round(ensA.times, 12), np.round(ensB.times, 12))
     ia = np.searchsorted(np.round(ensA.times, 12), common)
@@ -556,7 +576,7 @@ def uniqueness_map(x_points, fieldA: CoefficientField, fieldB: CoefficientField,
     ta = common[common <= t + 1e-12]
     for eps in eps_list:
         integrand = msig + absF + maximal_modified(gF, g, 1.0 / eps)
-        along = _interp1(integrand, g, xa)
+        along = _interpolate(integrand, g, xa[..., None])
         per_path = np.trapezoid(along, ta, axis=1)
         m_eps[float(eps)] = per_path.reshape(n_x, n_paths).mean(axis=1)
     frac = float(np.mean(n_eps <= threshold))

@@ -111,3 +111,14 @@ def test_from_ensemble_bins_match_histogramdd(seed, d, cells):
         slice_k = counts / (counts.sum() * grid.cell_volume)
         slice_k /= grid.cell_volume * slice_k.sum()  # Law's unit-mass step
         assert np.array_equal(law.density[k], slice_k)
+
+
+def test_law_rejects_non_finite_density(grid1d):
+    """A stamp where every path is NaN must not become a NaN law."""
+    paths = np.zeros((5, 3, 1))
+    paths[:, 1] = np.nan
+    ens = SimpleNamespace(grid=grid1d, times=np.arange(3.0), paths=paths)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        Law.from_ensemble(ens)
+    with pytest.raises(ValueError, match="finite"):
+        Law(grid1d, [0.0], np.full((1,) + grid1d.shape, np.nan))

@@ -144,3 +144,14 @@ def test_python_m_sdelab_runs_without_runpy_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(SCENARIOS)[0] in proc.stdout
+
+
+def test_one_dimensional_x0_list_validates_and_runs(tmp_path):
+    """A 1-D x0 given as a one-element list runs like the scalar."""
+    small = {"scenario": "thm_1d_convergence", "n_paths": 40, "T": 0.125}
+    cfg = dict(small, x0=[0.5])
+    validate_config(cfg)
+    a = run_scenario(cfg, out_dir=tmp_path / "list")
+    b = run_scenario(dict(small, x0=0.5), out_dir=tmp_path / "scalar")
+    assert a.manifest["complete"]
+    assert a.manifest["files"] == b.manifest["files"]
