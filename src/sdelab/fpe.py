@@ -1,9 +1,20 @@
 """Forward PDE solvers and monitors.
 
-1-D Fokker-Planck: du/dt + d/dx(F u) = d^2/dx^2(a u), solved by an explicit
+1-D Fokker-Planck: du/dt + d/dx(F u) = d^2/dx^2(a u), discretised by a
 conservative finite-volume scheme (upwind advection, flux-form diffusion).
 Kinetic phase-space equation on a 2-D (x, v) grid with transport in both
 coordinates and diffusion in v only, solved by dimensional splitting.
+
+Both solvers step explicitly by default, under the CFL cap
+min(h/(2 sup|speed|), h^2/(4 sup a)); that scheme is the reference. With
+``implicit=True`` the finite-volume generator A of ``_fv_generator`` (the
+same fluxes as a sparse tridiagonal matrix per line) is factored once as
+I - dt A and every step is one backward-Euler solve: the whole 1-D
+operator, or the v-diffusion of the kinetic splitting, whose transport
+sweeps stay explicit. A has nonnegative off-diagonals and zero column sums,
+so I - dt A is an M-matrix: positivity and mass hold for any dt, and the
+default step is 0.9 times the transport cap h/(2 sup|speed|) instead of the
+diffusive one.
 
 Monitors: pointwise stationary upper bound, per-step energy inequality for
 int u^alpha, discrete maximum principle, and density/law distances.
@@ -16,7 +27,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
+from scipy.sparse import linalg as splinalg
 
 from .fields import CoefficientField, Grid
 from .laws import Law
@@ -27,6 +39,7 @@ __all__ = [
     "EnergyReport",
     "cfl_cap_1d",
     "cfl_cap_kinetic",
+    "plan_steps",
     "solve_fp_1d",
     "stationary_bound_check",
     "energy_monitor",
@@ -40,7 +53,12 @@ MASS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityEvolution:
-    """Density snapshots of an explicit conservative solver run."""
+    """Density snapshots of a conservative forward-solver run.
+
+    ``scheme`` records what the numerics did: ``dt``, ``steps``, ``flux``,
+    ``method``, ``implicit``, the explicit CFL ``cap``, ``dt_over_cap`` and
+    ``mass_drift`` (final minus initial mass: what the clamps at zero added).
+    """
 
     grid: Grid
     times: np.ndarray       # (nt,)
@@ -144,20 +162,29 @@ def _coeffs_1d(field: CoefficientField):
     return F, a
 
 
+def _caps(speeds, hs, a: np.ndarray, h: float):
+    """(transport, diffusive) explicit step caps, inf where a term is absent:
+    min over axes of h/(2 sup|speed|), and h^2/(4 sup a)."""
+    transport = min((hi / (2.0 * np.abs(s).max())
+                     for s, hi in zip(speeds, hs) if np.abs(s).max() > 0),
+                    default=np.inf)
+    diffusive = h * h / (4.0 * a.max()) if a.max() > 0 else np.inf
+    if transport == diffusive == np.inf:
+        raise ValueError("field has zero transport and zero diffusion")
+    return float(transport), float(diffusive)
+
+
+def _caps_1d(field: CoefficientField):
+    F, a = _coeffs_1d(field)
+    h = field.grid.h[0]
+    return _caps([F], [h], a, h)
+
+
 def cfl_cap_1d(field: CoefficientField) -> float:
     """Largest stable explicit step: min(h/(2 sup|F|), h^2/(4 sup a))."""
     if field.grid.d != 1:
         raise ValueError("cfl_cap_1d needs a one-dimensional field")
-    F, a = _coeffs_1d(field)
-    h = field.grid.h[0]
-    caps = []
-    if np.abs(F).max() > 0:
-        caps.append(h / (2.0 * np.abs(F).max()))
-    if a.max() > 0:
-        caps.append(h * h / (4.0 * a.max()))
-    if not caps:
-        raise ValueError("field has zero drift and zero diffusion")
-    return float(min(caps))
+    return min(_caps_1d(field))
 
 
 def _project_initial(grid: Grid, u0) -> np.ndarray:
@@ -172,16 +199,80 @@ def _project_initial(grid: Grid, u0) -> np.ndarray:
     return u0 / mass
 
 
-def _choose_steps(T: float, dt: float | None, cap: float):
+def plan_steps(field: CoefficientField, T: float, dt: float | None = None,
+               implicit: bool = False):
+    """(steps, dt, cap) of a forward solve over [0, T]; ``cap`` is the
+    explicit CFL cap. A 1-D field gets the ``solve_fp_1d`` rule, a 2-D one
+    the ``solve_kinetic`` rule.
+
+    Explicit: a user dt must not exceed ``cap``; the default is 0.9 cap,
+    rounded down to divide T. Implicit: the default is 0.9 times the
+    transport cap (200 equal steps in 1-D, 50 kinetic, without transport);
+    a user dt is limited only by the transport cap of the kinetic sweeps,
+    which stay explicit. A user dt must divide T.
+    """
+    if field.grid.d == 1:
+        (transport, diffusive), fallback = _caps_1d(field), 200
+        limit = np.inf
+    else:
+        (transport, diffusive), fallback = _caps_kinetic(field), 50
+        limit = transport
+    cap = min(transport, diffusive)
+    target, limit = (transport, limit) if implicit else (cap, cap)
     if dt is None:
-        steps = max(1, int(np.ceil(T / (0.9 * cap))))
-        return steps, T / steps
-    if dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt={dt:.3e} violates the stability cap {cap:.3e}")
+        steps = (max(1, int(np.ceil(T / (0.9 * target))))
+                 if np.isfinite(target) else fallback)
+        return steps, T / steps, cap
+    if dt > limit * (1 + 1e-12):
+        raise ValueError(f"dt={dt:.3e} violates the stability cap {limit:.3e}")
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("dt must divide the horizon T")
-    return steps, dt
+    return steps, dt, cap
+
+
+def _fv_generator(F, a, h: float):
+    """Finite-volume generator A, du/dt = A u, along the last axis.
+
+    The explicit scheme's fluxes: upwind advection with node speeds F
+    averaged onto interfaces, flux-form diffusion d/dx(a u), zero flux
+    through the boundary. ``F`` (broadcast to ``a``) and ``a`` have shape
+    (..., n); each leading index is one line, and A is block-tridiagonal
+    over the lines in C order, acting on ``u.reshape(-1)``. Off-diagonals
+    are nonnegative and the diagonal is minus its column's off-diagonal sum,
+    so every column sums to zero.
+    """
+    a = np.asarray(a, dtype=float)
+    F = np.broadcast_to(np.asarray(F, dtype=float), a.shape)
+    F_half = 0.5 * (F[..., :-1] + F[..., 1:])
+    pad = np.zeros(a.shape[:-1] + (1,))
+    # A[i+1, i], out of node i rightward; A[i, i+1], out of node i+1 leftward
+    lower = np.concatenate([(np.maximum(F_half, 0.0) + a[..., :-1] / h) / h,
+                            pad], axis=-1).reshape(-1)[:-1]
+    upper = np.concatenate([(a[..., 1:] / h - np.minimum(F_half, 0.0)) / h,
+                            pad], axis=-1).reshape(-1)[:-1]
+    diag = -(np.concatenate([[0.0], upper]) + np.concatenate([lower, [0.0]]))
+    return sparse.diags_array([lower, diag, upper], offsets=[-1, 0, 1],
+                              format="csc")
+
+
+def _backward_euler(F, a, h: float, dt: float):
+    """u -> the solution of (I - dt A) v = u, with A from ``_fv_generator``
+    factored once; u and v have the shape of ``a``."""
+    A = _fv_generator(F, a, h)
+    lu = splinalg.splu((sparse.eye_array(A.shape[0]) - dt * A).tocsc(),
+                       permc_spec="NATURAL")
+    shape = np.shape(a)
+    return lambda u: lu.solve(u.reshape(-1)).reshape(shape)
+
+
+def _evolution(grid: Grid, stamps, slices, **scheme) -> DensityEvolution:
+    """Pack a solver run with its diagnostics (see ``DensityEvolution``)."""
+    scheme["dt_over_cap"] = scheme["dt"] / scheme["cap"]
+    scheme["mass_drift"] = float(grid.cell_volume
+                                 * (slices[-1].sum() - slices[0].sum()))
+    return DensityEvolution(grid, np.array(stamps), np.array(slices),
+                            scheme=scheme)
 
 
 def _advect_upwind(u: np.ndarray, speed_half: np.ndarray) -> np.ndarray:
@@ -191,12 +282,15 @@ def _advect_upwind(u: np.ndarray, speed_half: np.ndarray) -> np.ndarray:
 
 
 def solve_fp_1d(field: CoefficientField, u0, T: float, dt: float | None = None,
-                record_every: int | None = None) -> DensityEvolution:
-    """Explicit conservative finite-volume solve of the 1-D forward equation.
+                record_every: int | None = None,
+                implicit: bool = False) -> DensityEvolution:
+    """Conservative finite-volume solve of the 1-D forward equation.
 
     Advection d/dx(F u) uses upwind interface fluxes; the diffusion term
     d^2/dx^2(a u) is differenced as a flux of d/dx(a u), so total mass
-    telescopes exactly (zero flux through the boundary).
+    telescopes exactly (zero flux through the boundary). The default is
+    explicit Euler under ``cfl_cap_1d``; ``implicit=True`` takes backward-
+    Euler steps of the same generator (step rule: ``plan_steps``).
     """
     grid = field.grid
     if grid.d != 1:
@@ -208,28 +302,32 @@ def solve_fp_1d(field: CoefficientField, u0, T: float, dt: float | None = None,
         raise ValueError("diffusion coefficient must be nonnegative")
     h = grid.h[0]
     u = _project_initial(grid, u0)
-    steps, dt = _choose_steps(T, dt, cfl_cap_1d(field))
+    steps, dt, cap = plan_steps(field, T, dt, implicit)
     if record_every is None:
         record_every = max(1, steps // 200)
     F_half = 0.5 * (F[:-1] + F[1:])
+    if implicit:
+        solve = _backward_euler(F, a, h, dt)
 
     stamps = [0.0]
     slices = [u.copy()]
     for k in range(steps):
-        au = a * u
-        flux = _advect_upwind(u, F_half) - (au[1:] - au[:-1]) / h
-        u = u.copy()
-        u[:-1] -= dt / h * flux
-        u[1:] += dt / h * flux
+        if implicit:
+            u = solve(u)
+        else:
+            au = a * u
+            flux = _advect_upwind(u, F_half) - (au[1:] - au[:-1]) / h
+            u = u.copy()
+            u[:-1] -= dt / h * flux
+            u[1:] += dt / h * flux
         np.maximum(u, 0.0, out=u)
         if (k + 1) % record_every == 0 or k + 1 == steps:
             stamps.append((k + 1) * dt)
             slices.append(u.copy())
-    return DensityEvolution(
-        grid, np.array(stamps), np.array(slices),
-        scheme={"dt": dt, "steps": steps, "flux": "upwind",
-                "method": "fv_explicit_1d"},
-    )
+    return _evolution(
+        grid, stamps, slices, dt=float(dt), steps=steps, flux="upwind",
+        method="fv_implicit_1d" if implicit else "fv_explicit_1d",
+        implicit=implicit, cap=cap)
 
 
 def stationary_bound_check(field: CoefficientField,
@@ -326,19 +424,16 @@ def _kinetic_coeffs(field: CoefficientField):
     return speed_x, speed_v, a_vv
 
 
-def cfl_cap_kinetic(field: CoefficientField) -> float:
+def _caps_kinetic(field: CoefficientField):
     speed_x, speed_v, a_vv = _kinetic_coeffs(field)
     hx, hv = field.grid.h
-    caps = []
-    if np.abs(speed_x).max() > 0:
-        caps.append(hx / (2.0 * np.abs(speed_x).max()))
-    if np.abs(speed_v).max() > 0:
-        caps.append(hv / (2.0 * np.abs(speed_v).max()))
-    if a_vv.max() > 0:
-        caps.append(hv * hv / (4.0 * a_vv.max()))
-    if not caps:
-        raise ValueError("field has zero transport and zero diffusion")
-    return float(min(caps))
+    return _caps([speed_x, speed_v], [hx, hv], a_vv, hv)
+
+
+def cfl_cap_kinetic(field: CoefficientField) -> float:
+    """Largest stable explicit splitting step: transport in x and v at
+    h/(2 sup|speed|), v-diffusion at hv^2/(4 sup a_vv)."""
+    return min(_caps_kinetic(field))
 
 
 def _sweep(u: np.ndarray, speed: np.ndarray, h: float, dt: float,
@@ -361,12 +456,16 @@ def _sweep(u: np.ndarray, speed: np.ndarray, h: float, dt: float,
 
 def solve_kinetic(field: CoefficientField, u0, T: float,
                   dt: float | None = None, record_every: int | None = None,
-                  flux: str = "upwind") -> DensityEvolution:
+                  flux: str = "upwind",
+                  implicit: bool = False) -> DensityEvolution:
     """Dimensional-splitting solve of the phase-space forward equation.
 
     Per step: transport in x with speed drift_x (= v for the shipped preset),
     transport in v with speed drift_v, then flux-form diffusion in v with
     coefficient a_vv. Each sweep is conservative with zero boundary flux.
+    ``implicit=True`` makes the v-diffusion a backward-Euler solve (one
+    tridiagonal line per x row, factored once); the transport sweeps stay
+    explicit upwind, so dt is capped by transport alone (``plan_steps``).
 
     ``flux="centered"`` swaps the transport sweeps to a non-monotone centered
     flux; it exists so the maximum-principle check can be shown to fail on a
@@ -376,16 +475,20 @@ def solve_kinetic(field: CoefficientField, u0, T: float,
     speed_x, speed_v, a_vv = _kinetic_coeffs(field)
     hx, hv = grid.h
     u = _project_initial(grid, u0)
-    steps, dt = _choose_steps(T, dt, cfl_cap_kinetic(field))
+    steps, dt, cap = plan_steps(field, T, dt, implicit)
     if record_every is None:
         record_every = max(1, steps // 50)
+    if implicit:
+        solve = _backward_euler(0.0, a_vv, hv, dt)
 
     stamps = [0.0]
     slices = [u.copy()]
     for k in range(steps):
         u = _sweep(u, speed_x, hx, dt, axis=0, flux=flux)
         u = _sweep(u, speed_v, hv, dt, axis=1, flux=flux)
-        if a_vv.max() > 0:
+        if implicit:
+            u = solve(u)
+        elif a_vv.max() > 0:
             au = a_vv * u
             g = (au[:, 1:] - au[:, :-1]) / hv
             u = u.copy()
@@ -400,11 +503,9 @@ def solve_kinetic(field: CoefficientField, u0, T: float,
         if (k + 1) % record_every == 0 or k + 1 == steps:
             stamps.append((k + 1) * dt)
             slices.append(u.copy())
-    return DensityEvolution(
-        grid, np.array(stamps), np.array(slices),
-        scheme={"dt": dt, "steps": steps, "flux": flux,
-                "method": "splitting_kinetic"},
-    )
+    return _evolution(grid, stamps, slices, dt=float(dt), steps=steps,
+                      flux=flux, method="splitting_kinetic",
+                      implicit=implicit, cap=cap)
 
 
 def max_principle_check(evolution: DensityEvolution,

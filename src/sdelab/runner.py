@@ -27,6 +27,7 @@ from .fpe import (
     energy_monitor,
     law_compare,
     max_principle_check,
+    plan_steps,
     solve_fp_1d,
     solve_kinetic,
     stationary_bound_check,
@@ -65,6 +66,9 @@ __all__ = [
 ]
 
 MAX_EXIT_FRACTION = 1e-3
+
+# forward-PDE scenarios; each solves with backward-Euler steps (implicit=True)
+_PDE_SCENARIOS = ("elliptic_energy", "stationary_1d", "kinetic_langevin")
 
 
 class ConfigError(ValueError):
@@ -232,16 +236,27 @@ def validate_config(raw: dict) -> dict:
 
     grid = _check_grid(cfg.get("grid", {}), errors)
     preset = cfg.get("preset", {})
+    field = None
     if not isinstance(preset, dict) or preset.get("name") not in PRESET_NAMES:
         errors.append(f"preset: name must be one of {PRESET_NAMES}")
     elif grid is not None:
         try:
-            preset_field(preset["name"], preset.get("params", {}), grid)
+            field = preset_field(preset["name"], preset.get("params", {}), grid)
         except ValueError as exc:
             errors.append(f"preset: {exc}")
 
+    n_errors = len(errors)
     for key in ("T", "dt", "n_paths", "n_points", "p", "C", "threshold"):
         _positive(cfg, key, errors, integer=key in ("n_paths", "n_points"))
+    if (name in _PDE_SCENARIOS and field is not None
+            and cfg.get("dt") is not None and cfg.get("T") is not None
+            and len(errors) == n_errors):
+        # the solver's own step rule: dt divides T, and the kinetic
+        # transport sweeps stay within their CFL cap
+        try:
+            plan_steps(field, cfg["T"], cfg["dt"], implicit=True)
+        except ValueError as exc:
+            errors.append(f"dt: {exc}")
     for key in ("deltas", "epsilons", "alphas"):
         v = cfg.get(key)
         if v is not None and (not isinstance(v, list) or
@@ -445,7 +460,8 @@ def _scn_elliptic_energy(cfg, emit: _Emitter):
     grid = _check_grid(cfg["grid"], [])
     field = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
     u0 = _initial_density(grid, cfg["u0"])
-    evo = solve_fp_1d(field, u0, cfg["T"], cfg.get("dt"))
+    evo = solve_fp_1d(field, u0, cfg["T"], cfg.get("dt"), implicit=True)
+    emit.json("solver", evo.scheme)
     rep = energy_monitor(evo, field, cfg["alphas"], cfg["p"])
     path = emit.out / "reports" / "energy.json"
     rep.to_json(path)
@@ -465,7 +481,8 @@ def _scn_stationary(cfg, emit: _Emitter):
     grid = _check_grid(cfg["grid"], [])
     field = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
     u0 = _initial_density(grid, cfg["u0"])
-    evo = solve_fp_1d(field, u0, cfg["T"], cfg.get("dt"))
+    evo = solve_fp_1d(field, u0, cfg["T"], cfg.get("dt"), implicit=True)
+    emit.json("solver", evo.scheme)
     emit.report(stationary_bound_check(field, evo, cfg["C"], rtol=cfg["rtol"]))
     emit.series("density_final", ["x", "u"],
                 list(zip(grid.nodes(0), evo.density[-1])))
@@ -475,7 +492,8 @@ def _scn_kinetic(cfg, emit: _Emitter):
     grid = _check_grid(cfg["grid"], [])
     field = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
     u0 = _initial_density(grid, cfg["u0"])
-    evo = solve_kinetic(field, u0, cfg["T"], cfg.get("dt"))
+    evo = solve_kinetic(field, u0, cfg["T"], cfg.get("dt"), implicit=True)
+    emit.json("solver", evo.scheme)
     emit.report(max_principle_check(evo))
     law = Law.from_density_evolution(evo)
     v = grid.nodes(1)

@@ -278,6 +278,8 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((), (d,), (N,), (N, d)):
         raise ValueError(f"initial spec shape {x0.shape} not understood")
+    if not np.isfinite(x0).all():
+        raise ValueError("initial point x0 must be finite")
     per_path = x0.shape == (N,) != (d,)
     if per_path and d != 1:
         raise ValueError("per-path initial points must have d components")

@@ -176,3 +176,24 @@ def test_interp_values_on_path_arrays():
     xf = ens.paths[:, ens.times <= 0.5, 0]
     assert xf.flags.f_contiguous and not xf.flags.c_contiguous
     assert ens.interp_values(values, xf).flags.f_contiguous
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "per_path", "component"])
+def test_non_finite_initial_point_is_rejected_by_name(bad):
+    grid = make_grid(1, (-4.0, 4.0), 64)
+    ou = preset_field("ou", {}, grid)
+    store = BrownianStore.generate(7, 8, 8, 1 / 128)
+    if bad == "per_path":
+        x0 = np.zeros(8)
+        x0[3] = -np.inf
+    elif bad == "component":
+        grid = make_grid(2, ((-2.0, 2.0), (-3.0, 3.0)), 16)
+        ou = preset_field("ou", {}, grid)
+        store = BrownianStore.generate(7, 8, 8, 1 / 128, r=2)
+        x0 = (0.5, np.nan)
+    else:
+        x0 = bad
+    with pytest.raises(ValueError, match="x0"):
+        simulate_ensemble(ou, x0, 8 / 128, store)
+    with pytest.raises(ValueError, match="x0"):
+        simulate_family([ou, ou], x0, 8 / 128, store)

@@ -155,3 +155,41 @@ def test_one_dimensional_x0_list_validates_and_runs(tmp_path):
     b = run_scenario(dict(small, x0=0.5), out_dir=tmp_path / "scalar")
     assert a.manifest["complete"]
     assert a.manifest["files"] == b.manifest["files"]
+
+
+def test_validate_rejects_kinetic_dt_beyond_the_transport_cap(tmp_path):
+    cfg = {"scenario": "kinetic_langevin", "dt": 0.05}
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert any(e.startswith("dt:") for e in exc.value.errors)
+    path = tmp_path / "kinetic.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_validate_rejects_pde_dt_not_dividing_T():
+    for name in ("stationary_1d", "elliptic_energy", "kinetic_langevin"):
+        with pytest.raises(ConfigError):
+            validate_config({"scenario": name, "dt": 0.07})
+
+
+def test_stationary_dt_half_runs_with_implicit_steps(tmp_path):
+    cfg = {"scenario": "stationary_1d", "dt": 0.5}
+    validate_config(cfg)
+    art = run_scenario(cfg, out_dir=tmp_path / "run")
+    assert art.manifest["complete"]
+    solver = json.loads((tmp_path / "run" / "reports" / "solver.json").read_text())
+    assert solver["implicit"] is True and solver["steps"] == 10
+    assert solver["dt"] == 0.5 and solver["dt_over_cap"] > 1.0
+
+
+def test_pde_scenarios_report_solver_diagnostics(tmp_path):
+    for name, T in (("elliptic_energy", 0.1), ("kinetic_langevin", 0.02)):
+        art = run_scenario({"scenario": name, "T": T}, out_dir=tmp_path / name)
+        assert "reports/solver.json" in art.manifest["files"]
+        assert "solver" not in art.manifest["checks"]
+        solver = json.loads((tmp_path / name / "reports" / "solver.json")
+                            .read_text())
+        assert set(solver) == {"dt", "steps", "flux", "method", "implicit",
+                               "cap", "dt_over_cap", "mass_drift"}
+        assert abs(solver["mass_drift"]) < 1e-12

@@ -9,7 +9,9 @@ Run statuses go to stderr, so two trees compare with one command::
          <(python tools/run_tree_digest.py)
 
 Standard library only; ``--src`` (default: this checkout's ``src``) is the
-source directory the scenarios are imported from.
+source directory the scenarios are imported from. ``--keep DIR`` writes the
+configs and the run tree (``DIR/tree/<scenario>/...``) into DIR and leaves
+them there, so ``tools/series_deviation.py`` can compare two kept trees.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 
@@ -43,6 +46,9 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parents[1] / "src",
                         help="source directory holding the sdelab package")
+    parser.add_argument("--keep", type=Path, default=None, metavar="DIR",
+                        help="write the run tree into DIR instead of a "
+                             "temporary directory and keep it")
     args = parser.parse_args(argv)
     src = args.src.resolve()
 
@@ -52,7 +58,14 @@ def main(argv=None) -> int:
         return 2
     names = sorted(line.split(":", 1)[0] for line in listing.stdout.splitlines()
                    if line.strip())
-    with tempfile.TemporaryDirectory() as tmp:
+    if args.keep is not None:
+        if (args.keep / "tree").exists():
+            print(f"{args.keep / 'tree'} exists; give an empty directory",
+                  file=sys.stderr)
+            return 2
+        args.keep.mkdir(parents=True, exist_ok=True)
+    with (nullcontext(args.keep) if args.keep is not None
+          else tempfile.TemporaryDirectory()) as tmp:
         root = Path(tmp)
         for name in names:
             cfg = root / f"{name}.json"
