@@ -19,7 +19,6 @@ from .fields import (  # noqa: F401
     preset_field,
 )
 from .fpe import (  # noqa: F401
-    DensityEvolution,
     EnergyReport,
     cfl_cap_1d,
     cfl_cap_kinetic,

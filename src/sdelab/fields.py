@@ -14,6 +14,8 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
+from .report import write_csv
+
 __all__ = [
     "Grid",
     "CoefficientField",
@@ -174,17 +176,12 @@ class CoefficientField:
 
     def dump_csv(self, path) -> None:
         """Node coordinates, drift components, diffusion components."""
-        mesh = self.grid.meshgrid()
-        coords = np.stack([m.ravel() for m in mesh], axis=1)
-        drift = self.drift.reshape(-1, self.grid.d)
-        diff = self.diffusion.reshape(coords.shape[0], -1)
-        data = np.hstack([coords, drift, diff])
-        header = ",".join(
-            [f"x{i}" for i in range(self.grid.d)]
-            + [f"F{i}" for i in range(self.grid.d)]
-            + [f"sigma{i}{j}" for i in range(self.grid.d) for j in range(self.r)]
-        )
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        d = self.grid.d
+        coords = np.stack([m.ravel() for m in self.grid.meshgrid()], axis=1)
+        write_csv(path, [f"x{i}" for i in range(d)] + [f"F{i}" for i in range(d)]
+                  + [f"sigma{i}{j}" for i in range(d) for j in range(self.r)],
+                  np.hstack([coords, self.drift.reshape(-1, d),
+                             self.diffusion.reshape(coords.shape[0], -1)]))
 
 
 PRESET_NAMES = (

@@ -16,26 +16,24 @@ so I - dt A is an M-matrix: positivity and mass hold for any dt, and the
 default step is 0.9 times the transport cap h/(2 sup|speed|) instead of the
 diffusive one.
 
-Monitors: pointwise stationary upper bound, per-step energy inequality for
-int u^alpha, discrete maximum principle, and density/law distances.
+Both solvers return a ``Law`` whose ``scheme`` records the numerics. Monitors:
+pointwise stationary bound, energy inequality for int u^alpha between
+recorded stamps, discrete maximum principle, density/law distances.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .fields import CoefficientField, Grid
 from .laws import Law
-from .report import Report
+from .report import Report, Serialisable, write_csv
 
 __all__ = [
-    "DensityEvolution",
     "EnergyReport",
     "cfl_cap_1d",
     "cfl_cap_kinetic",
@@ -48,110 +46,34 @@ __all__ = [
     "law_compare",
 ]
 
-MASS_TOL = 1e-10
-
-
 @dataclass(frozen=True)
-class DensityEvolution:
-    """Density snapshots of a conservative forward-solver run.
-
-    ``scheme`` records what the numerics did: ``dt``, ``steps``, ``flux``,
-    ``method``, ``implicit``, the explicit CFL ``cap``, ``dt_over_cap`` and
-    ``mass_drift`` (final minus initial mass: what the clamps at zero added).
-    """
-
-    grid: Grid
-    times: np.ndarray       # (nt,)
-    density: np.ndarray     # (nt, *grid.shape)
-    scheme: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        if density.shape != (times.size,) + self.grid.shape:
-            raise ValueError("density shape does not match grid and stamps")
-        if density.min() < 0:
-            raise ValueError("density must be nonnegative")
-        drift = np.abs(self.mass(density) - 1.0)
-        if drift.max() > MASS_TOL:
-            raise ValueError(f"mass drift {drift.max():.3e} exceeds {MASS_TOL}")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "density", density)
-
-    def mass(self, density=None) -> np.ndarray:
-        d = self.density if density is None else density
-        return self.grid.cell_volume * d.reshape(d.shape[0], -1).sum(axis=1)
-
-    @property
-    def T(self) -> float:
-        return float(self.times[-1])
-
-    def as_law(self, stride: int = 1) -> Law:
-        return Law.from_density_evolution(self, stride)
-
-    def dump_csv(self, path, stride: int = 1) -> None:
-        """One row per (time, node) observation."""
-        g = self.grid
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"x{i}" for i in range(g.d)] + ["u"])
-            mesh = [m.reshape(-1) for m in g.meshgrid()]
-            for k in range(0, self.times.size, stride):
-                t = self.times[k]
-                flat = self.density[k].reshape(-1)
-                for j in range(flat.size):
-                    w.writerow([f"{t:.17g}"]
-                               + [f"{m[j]:.17g}" for m in mesh]
-                               + [f"{flat[j]:.17g}"])
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Per-step audit of the discrete inequality
-    (int u^alpha)_{k+1} <= (int u^alpha)_k * (1 + dt * budget_rate)."""
+class EnergyReport(Serialisable):
+    """Audit of the discrete inequality
+    (int u^alpha)_{k+1} <= (int u^alpha)_k * (1 + (t_{k+1} - t_k) * rate)
+    between consecutive recorded stamps t_k, not between solver steps: a
+    stamp gap may span several steps, so the recording cadence decides what
+    is checked."""
 
     alphas: tuple
     theta: float
     times: np.ndarray             # (nt,)
     values: np.ndarray            # (n_alpha, nt)
-    budgets: np.ndarray           # (n_alpha, nt-1) right sides per step
+    budgets: np.ndarray           # (n_alpha, nt-1) right sides per gap
     grad_a_lp: np.ndarray         # (nt,) ||grad a(t_k)||_{L^p}
     violations: int
     constant: float               # the frozen C''
+    passed: bool                  # no violations
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "alphas": list(self.alphas),
-            "theta": self.theta,
-            "times": self.times.tolist(),
-            "values": self.values.tolist(),
-            "budgets": self.budgets.tolist(),
-            "grad_a_lp": self.grad_a_lp.tolist(),
-            "violations": self.violations,
-            "constant": self.constant,
-            "passed": self.passed,
-        }
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+    def table(self):
+        """(header, rows): one row (t_{k+1}, alpha, lhs, budget) per gap."""
+        return ["t", "alpha", "lhs", "budget"], [
+            (self.times[k + 1], alpha, self.values[i, k + 1],
+             self.budgets[i, k])
+            for i, alpha in enumerate(self.alphas)
+            for k in range(self.times.size - 1)]
 
     def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "alpha", "lhs", "budget"])
-            for i, alpha in enumerate(self.alphas):
-                for k in range(self.times.size - 1):
-                    w.writerow([f"{self.times[k + 1]:.17g}", f"{alpha:.17g}",
-                                f"{self.values[i, k + 1]:.17g}",
-                                f"{self.budgets[i, k]:.17g}"])
+        write_csv(path, *self.table())
 
 
 # -- 1-D Fokker-Planck ------------------------------------------------------
@@ -191,6 +113,8 @@ def _project_initial(grid: Grid, u0) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != grid.shape:
         raise ValueError(f"initial density shape {u0.shape} != {grid.shape}")
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("initial density must be finite")
     if u0.min() < 0:
         raise ValueError("initial density must be nonnegative")
     mass = grid.cell_volume * u0.sum()
@@ -266,13 +190,12 @@ def _backward_euler(F, a, h: float, dt: float):
     return lambda u: lu.solve(u.reshape(-1)).reshape(shape)
 
 
-def _evolution(grid: Grid, stamps, slices, **scheme) -> DensityEvolution:
-    """Pack a solver run with its diagnostics (see ``DensityEvolution``)."""
+def _evolution(grid: Grid, stamps, slices, **scheme) -> Law:
+    """Pack a solver run with its diagnostics (see ``Law``)."""
     scheme["dt_over_cap"] = scheme["dt"] / scheme["cap"]
     scheme["mass_drift"] = float(grid.cell_volume
                                  * (slices[-1].sum() - slices[0].sum()))
-    return DensityEvolution(grid, np.array(stamps), np.array(slices),
-                            scheme=scheme)
+    return Law(grid, np.array(stamps), np.array(slices), scheme)
 
 
 def _advect_upwind(u: np.ndarray, speed_half: np.ndarray) -> np.ndarray:
@@ -283,7 +206,7 @@ def _advect_upwind(u: np.ndarray, speed_half: np.ndarray) -> np.ndarray:
 
 def solve_fp_1d(field: CoefficientField, u0, T: float, dt: float | None = None,
                 record_every: int | None = None,
-                implicit: bool = False) -> DensityEvolution:
+                implicit: bool = False) -> Law:
     """Conservative finite-volume solve of the 1-D forward equation.
 
     Advection d/dx(F u) uses upwind interface fluxes; the diffusion term
@@ -331,7 +254,7 @@ def solve_fp_1d(field: CoefficientField, u0, T: float, dt: float | None = None,
 
 
 def stationary_bound_check(field: CoefficientField,
-                           evolution: DensityEvolution, C: float,
+                           evolution: Law, C: float,
                            rtol: float = 1e-6) -> Report:
     """Pointwise bound u(t,x) <= C/a(x) * exp(int_0^x F/a) at every stamp.
 
@@ -342,7 +265,9 @@ def stationary_bound_check(field: CoefficientField,
     if a.min() <= 0:
         raise ValueError("the bound needs a > 0 on the whole grid")
     x = field.grid.nodes(0)
-    I = integrate.cumulative_trapezoid(F / a, x, initial=0.0)
+    # cumulative trapezoid of F/a (scipy's cumulative_trapezoid, same order)
+    r = F / a
+    I = np.concatenate([[0.0], np.cumsum(np.diff(x) * (r[1:] + r[:-1]) / 2.0)])
     anchor = int(np.argmin(np.abs(x)))
     envelope = C / a * np.exp(I - I[anchor])
     slack = rtol * max(envelope.max(), 1.0)
@@ -359,10 +284,11 @@ def stationary_bound_check(field: CoefficientField,
     )
 
 
-def energy_monitor(evolution: DensityEvolution, field: CoefficientField,
+def energy_monitor(evolution: Law, field: CoefficientField,
                    alphas, p: float, q: float | None = None,
                    constant: float | None = None) -> EnergyReport:
-    """Per-step check of the moment inequality for int u^alpha.
+    """Check of the moment inequality for int u^alpha between recorded
+    stamps (see ``EnergyReport``).
 
     Budget rate: C'' * (1 + ||grad a||_{L^p}^{2/theta}) with theta = 1 - d/p.
     The default C'' = max_alpha alpha(alpha-1)(1 + sup|F|^2/(2c)) was
@@ -407,7 +333,7 @@ def energy_monitor(evolution: DensityEvolution, field: CoefficientField,
     return EnergyReport(
         alphas=alphas, theta=theta, times=evolution.times, values=values,
         budgets=budgets, grad_a_lp=np.full(nt, lp), violations=violations,
-        constant=float(constant),
+        constant=float(constant), passed=violations == 0,
     )
 
 
@@ -457,7 +383,7 @@ def _sweep(u: np.ndarray, speed: np.ndarray, h: float, dt: float,
 def solve_kinetic(field: CoefficientField, u0, T: float,
                   dt: float | None = None, record_every: int | None = None,
                   flux: str = "upwind",
-                  implicit: bool = False) -> DensityEvolution:
+                  implicit: bool = False) -> Law:
     """Dimensional-splitting solve of the phase-space forward equation.
 
     Per step: transport in x with speed drift_x (= v for the shipped preset),
@@ -508,7 +434,7 @@ def solve_kinetic(field: CoefficientField, u0, T: float,
                       implicit=implicit, cap=cap)
 
 
-def max_principle_check(evolution: DensityEvolution,
+def max_principle_check(evolution: Law,
                         tolerance: float = 1e-8) -> Report:
     """max_x u(t_k) <= max_x u(0) * (1 + tolerance) at every stamp."""
     peaks = evolution.density.reshape(evolution.times.size, -1).max(axis=1)

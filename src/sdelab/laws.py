@@ -2,26 +2,40 @@
 
 A Law stores one density slice per time stamp, normalized so that
 ``cell_volume * sum(density) == 1`` (Riemann weights; presets keep their mass
-well inside the box, so endpoint weighting is immaterial).
+well inside the box, so endpoint weighting is immaterial). The forward
+solvers return a Law too, with what their numerics did in ``scheme``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import ndimage
 
 from .fields import Grid
+from .report import write_csv
 
 __all__ = ["Law"]
 
 
+MASS_TOL = 1e-10
+
+
+def _mass(grid: Grid, slices: np.ndarray) -> np.ndarray:
+    return grid.cell_volume * slices.reshape(slices.shape[0], -1).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class Law:
+    """``scheme`` is empty except on solver output: ``dt``, ``steps``,
+    ``flux``, ``method``, ``implicit``, the explicit CFL ``cap``,
+    ``dt_over_cap``, ``mass_drift`` (what the clamps at zero added)."""
+
     grid: Grid
     times: np.ndarray       # (nt,)
     density: np.ndarray     # (nt, *grid.shape), >= 0, mass 1 per slice
+    scheme: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
@@ -34,21 +48,37 @@ class Law:
             raise ValueError("density must be finite")
         if np.any(density < 0):
             raise ValueError("density must be nonnegative")
-        mass = self.grid.cell_volume * density.reshape(times.size, -1).sum(axis=1)
-        if np.any(np.abs(mass - 1.0) > 1e-8):
-            raise ValueError("law slices must have unit mass (normalize first)")
+        drift = np.abs(_mass(self.grid, density) - 1.0)
+        if np.any(drift > MASS_TOL):
+            raise ValueError(f"law slices must have unit mass: drift "
+                             f"{drift.max():.3e} exceeds {MASS_TOL}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "density", density)
+
+    def mass(self) -> np.ndarray:
+        """Per-stamp mass ``cell_volume * sum(density)``."""
+        return _mass(self.grid, self.density)
 
     @property
     def T(self) -> float:
         return float(self.times[-1])
 
+    def as_law(self, stride: int = 1) -> "Law":
+        return Law.from_density_evolution(self, stride)
+
+    def dump_csv(self, path, stride: int = 1) -> None:
+        """One row per (time, node) observation."""
+        mesh = [m.reshape(-1) for m in self.grid.meshgrid()]
+        slices = zip(self.times[::stride], self.density[::stride])
+        write_csv(path, ["t"] + [f"x{i}" for i in range(self.grid.d)] + ["u"],
+                  ((t, *(m[j] for m in mesh), u) for t, dens in slices
+                   for j, u in enumerate(dens.reshape(-1))))
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def _normalize(grid: Grid, slices: np.ndarray) -> np.ndarray:
-        mass = grid.cell_volume * slices.reshape(slices.shape[0], -1).sum(axis=1)
+        mass = _mass(grid, slices)
         if np.any(mass <= 0):
             raise ValueError("cannot normalize a zero-mass slice")
         return slices / mass.reshape((-1,) + (1,) * (slices.ndim - 1))
@@ -126,11 +156,10 @@ class Law:
 
     @classmethod
     def from_density_evolution(cls, evolution, stride: int = 1) -> "Law":
-        return cls(
-            evolution.grid,
-            evolution.times[::stride],
-            cls._normalize(evolution.grid, evolution.density[::stride]),
-        )
+        """A solver's Law at every ``stride``-th stamp, slices renormalized."""
+        density = cls._normalize(evolution.grid, evolution.density[::stride])
+        return cls(evolution.grid, evolution.times[::stride], density,
+                   dict(evolution.scheme))
 
     # -- operations --------------------------------------------------------
 

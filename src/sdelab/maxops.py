@@ -245,16 +245,6 @@ class ViolationReport:
     worst_pair: tuple
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pairs_tested": self.pairs_tested,
-            "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
-            "worst_pair": list(self.worst_pair),
-            "tolerance": self.tolerance,
-        }
-
 
 def sample_pairs(grid: Grid, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n random node-index pairs (d=1), distinct coordinates per pair."""

@@ -11,7 +11,6 @@ by a pathwise Monte Carlo estimator over a simulated ensemble:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .maxops import (
     maximal,
     maximal_modified,
 )
-from .report import Report
+from .report import Report, Serialisable
 
 __all__ = [
     "NormValue",
@@ -40,7 +39,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NormValue:
+class NormValue(Serialisable):
     kind: str
     value: float
     method: str
@@ -48,24 +47,6 @@ class NormValue:
     mc_stderr: float | None = None
     L_grid: tuple | None = None
     argmax_L: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "method": self.method,
-            "T": self.T,
-            "mc_stderr": self.mc_stderr,
-            "L_grid": list(self.L_grid) if self.L_grid is not None else None,
-            "argmax_L": self.argmax_L,
-        }
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 @dataclass(frozen=True)

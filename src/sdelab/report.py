@@ -1,17 +1,20 @@
-"""Structured check results."""
+"""Structured check results and the one JSON and CSV writer of every result."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from pathlib import Path
+
+import numpy as np
 
 
 def _jsonable(obj):
-    import numpy as np
-
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -20,19 +23,36 @@ def _jsonable(obj):
     return obj
 
 
-@dataclass
-class Report:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+class Serialisable:
+    """``to_dict``/``to_json`` of a dataclass: its fields in declaration
+    order, arrays and numpy scalars as plain JSON values."""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed),
-                "details": _jsonable(self.details)}
+        return _jsonable(self)
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2)
         if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
+            Path(path).write_text(text)
         return text
+
+
+def _fmt(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    return str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """A tidy table: a header line, then one line per row; floats as %.17g."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+@dataclass
+class Report(Serialisable):
+    name: str
+    passed: bool
+    details: dict = field(default_factory=dict)

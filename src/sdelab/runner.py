@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .fields import PRESET_NAMES, make_grid, mollify, preset_field
 from .fpe import (
+    _project_initial,
     energy_monitor,
-    law_compare,
     max_principle_check,
     plan_steps,
     solve_fp_1d,
@@ -41,7 +41,7 @@ from .norms import (
     w11_norm,
     wphi_weak_norm,
 )
-from .report import Report
+from .report import Report, _jsonable, write_csv
 from .sde import (
     BrownianStore,
     cauchy_diagnostic,
@@ -178,7 +178,7 @@ SCENARIOS = {
     "thm_1d_convergence":
         "1-D coupled convergence: Cauchy matrix, Q and weighted-Q sweeps, dyadic blocks",
     "elliptic_energy":
-        "forward-PDE solve with the per-step moment-growth audit",
+        "forward-PDE solve with the moment-growth audit between stamps",
     "stationary_1d":
         "forward-PDE solve checked against the pointwise stationary envelope",
     "kinetic_langevin":
@@ -257,6 +257,13 @@ def validate_config(raw: dict) -> dict:
             plan_steps(field, cfg["T"], cfg["dt"], implicit=True)
         except ValueError as exc:
             errors.append(f"dt: {exc}")
+    if name in _PDE_SCENARIOS and grid is not None:
+        try:  # the initial density as run builds and the solver projects it
+            if not isinstance(cfg["u0"], dict):
+                raise TypeError("must be a JSON object")
+            _project_initial(grid, _initial_density(grid, cfg["u0"]))
+        except (TypeError, ValueError) as exc:
+            errors.append(f"u0: {exc}")
     for key in ("deltas", "epsilons", "alphas"):
         v = cfg.get(key)
         if v is not None and (not isinstance(v, list) or
@@ -285,19 +292,6 @@ def validate_config(raw: dict) -> dict:
 
 # -- emission helpers --------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, float) or isinstance(v, np.floating):
-        return f"{float(v):.17g}"
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -319,26 +313,23 @@ class _Emitter:
         self.files = []
         self.checks = {}
 
-    def report(self, rep) -> None:
-        name = rep.name if isinstance(rep, Report) else rep[0]
+    def check(self, rep, name=None) -> None:
+        """A verdict report, fields in declaration order, recorded as a check."""
+        name = name or rep.name
         path = self.out / "reports" / f"{name}.json"
-        if isinstance(rep, Report):
-            rep.to_json(path)
-            self.checks[name] = bool(rep.passed)
-        else:  # (name, payload dict, passed or None)
-            _, payload, passed = rep
-            with open(path, "w") as fh:
-                fh.write(json.dumps(payload, indent=2, sort_keys=True))
-            if passed is not None:
-                self.checks[name] = bool(passed)
+        rep.to_json(path)
+        self.checks[name] = bool(rep.passed)
         self.files.append(path)
 
-    def json(self, name: str, payload: dict) -> None:
-        self.report((name, payload, None))
+    def json(self, name: str, payload) -> None:
+        """An informational report (a dict or dataclass), keys sorted."""
+        path = self.out / "reports" / f"{name}.json"
+        path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        self.files.append(path)
 
     def series(self, name: str, header, rows) -> None:
         path = self.out / "series" / f"{name}.csv"
-        _write_csv(path, header, rows)
+        write_csv(path, header, rows)
         self.files.append(path)
 
 
@@ -362,6 +353,8 @@ def _initial_density(grid, spec) -> np.ndarray:
     if kind == "gaussian":
         mean = np.atleast_1d(np.asarray(spec.get("mean", 0.0), dtype=float))
         std = np.atleast_1d(np.asarray(spec.get("std", 1.0), dtype=float))
+        if np.any(std <= 0):
+            raise ValueError(f"gaussian std must be positive, got {spec['std']}")
         if mean.size == 1:
             mean = np.repeat(mean, grid.d)
         if std.size == 1:
@@ -404,16 +397,10 @@ def _q_sweep(emit: _Emitter, ensA, ensB, epsilons) -> None:
     sups = [fs.sup for fs in series]
     sup_ses = [fs.sup_stderr for fs in series]
     logs = np.abs(np.log(np.asarray(epsilons, dtype=float)))
-    ratios = np.asarray(sups) / logs
-    errs = np.asarray(sup_ses) / logs
     # informational: the per-epsilon growth profile of the coupling functional
-    emit.json("q_ratio_shape", {
-        "epsilons": list(epsilons),
-        "sup_EQ": sups,
-        "sup_stderr": sup_ses,
-        "ratios": ratios.tolist(),
-        "ratio_stderr": errs.tolist(),
-    })
+    emit.json("q_ratio_shape", dict(
+        epsilons=epsilons, sup_EQ=sups, sup_stderr=sup_ses,
+        ratios=np.asarray(sups) / logs, ratio_stderr=np.asarray(sup_ses) / logs))
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -427,22 +414,19 @@ def _scn_convergence(cfg, emit: _Emitter):
     dt = _pick_dt(cfg["T"], cap, cfg.get("dt"))
     steps = int(round(cfg["T"] / dt))
     store = BrownianStore.generate(cfg["seed"], cfg["n_paths"], steps, dt, base.r)
-    emit.report(store.validate())
+    emit.check(store.validate())
     ens = simulate_family(fields, cfg["x0"], cfg["T"], store,
                           record_every=cfg["record_every"])
-    emit.report(_exit_report(ens))
+    emit.check(_exit_report(ens))
 
     cd = cauchy_diagnostic(ens, p=cfg["p"])
-    emit.report(cd)
-    rows = []
-    m = cd.details["esup_matrix"]
-    se = cd.details["stderr_matrix"]
-    eta = cd.details["eta_matrix"]
-    for i in range(len(ens)):
-        for j in range(len(ens)):
-            rows.append((i, j, deltas[i], deltas[j], m[i][j], se[i][j], eta[i][j]))
+    emit.check(cd)
+    m, se, eta = (cd.details[k] for k in
+                  ("esup_matrix", "stderr_matrix", "eta_matrix"))
     emit.series("cauchy_matrix",
-                ["n", "m", "delta_n", "delta_m", "esup", "stderr", "eta"], rows)
+                ["n", "m", "delta_n", "delta_m", "esup", "stderr", "eta"],
+                [(i, j, deltas[i], deltas[j], m[i][j], se[i][j], eta[i][j])
+                 for i in range(len(ens)) for j in range(len(ens))])
 
     _q_sweep(emit, ens[-2], ens[-1], cfg["epsilons"])
 
@@ -451,63 +435,50 @@ def _scn_convergence(cfg, emit: _Emitter):
         _eps_series(emit, "q_tilde", "EQtilde", cfg["epsilons"],
                     lambda eps: q_tilde_functional(ens[-2], ens[-1], eps, h_tilde))
         schedule = dyadic_eps_schedule(*cfg["block_eps"])
-        emit.report(dyadic_block_averages(ens[-2], ens[-1], schedule))
+        emit.check(dyadic_block_averages(ens[-2], ens[-1], schedule))
         _eps_series(emit, "l_eps", "EL", cfg["epsilons"],
                     lambda eps: l_eps_functional(ens[-2], ens[-1], eps))
 
 
-def _scn_elliptic_energy(cfg, emit: _Emitter):
+def _forward(cfg, emit: _Emitter, solve):
+    """Grid, field and implicit solve of a forward-PDE scenario; the
+    solver's diagnostics go to reports/solver.json."""
     grid = _check_grid(cfg["grid"], [])
     field = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
-    u0 = _initial_density(grid, cfg["u0"])
-    evo = solve_fp_1d(field, u0, cfg["T"], cfg.get("dt"), implicit=True)
+    evo = solve(field, _initial_density(grid, cfg["u0"]), cfg["T"],
+                cfg.get("dt"), implicit=True)
     emit.json("solver", evo.scheme)
+    return grid, field, evo
+
+
+def _scn_elliptic_energy(cfg, emit: _Emitter):
+    grid, field, evo = _forward(cfg, emit, solve_fp_1d)
     rep = energy_monitor(evo, field, cfg["alphas"], cfg["p"])
-    path = emit.out / "reports" / "energy.json"
-    rep.to_json(path)
-    emit.files.append(path)
-    emit.checks["energy"] = rep.passed
-    rows = []
-    for i, alpha in enumerate(rep.alphas):
-        for k in range(rep.times.size - 1):
-            rows.append((rep.times[k + 1], alpha, rep.values[i, k + 1],
-                         rep.budgets[i, k]))
-    emit.series("energy", ["t", "alpha", "lhs", "budget"], rows)
+    emit.check(rep, "energy")
+    emit.series("energy", *rep.table())
     emit.series("density_final", ["x", "u"],
                 list(zip(grid.nodes(0), evo.density[-1])))
 
 
 def _scn_stationary(cfg, emit: _Emitter):
-    grid = _check_grid(cfg["grid"], [])
-    field = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
-    u0 = _initial_density(grid, cfg["u0"])
-    evo = solve_fp_1d(field, u0, cfg["T"], cfg.get("dt"), implicit=True)
-    emit.json("solver", evo.scheme)
-    emit.report(stationary_bound_check(field, evo, cfg["C"], rtol=cfg["rtol"]))
+    grid, field, evo = _forward(cfg, emit, solve_fp_1d)
+    emit.check(stationary_bound_check(field, evo, cfg["C"], rtol=cfg["rtol"]))
     emit.series("density_final", ["x", "u"],
                 list(zip(grid.nodes(0), evo.density[-1])))
 
 
 def _scn_kinetic(cfg, emit: _Emitter):
-    grid = _check_grid(cfg["grid"], [])
-    field = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
-    u0 = _initial_density(grid, cfg["u0"])
-    evo = solve_kinetic(field, u0, cfg["T"], cfg.get("dt"), implicit=True)
-    emit.json("solver", evo.scheme)
-    emit.report(max_principle_check(evo))
-    law = Law.from_density_evolution(evo)
+    grid, _, evo = _forward(cfg, emit, solve_kinetic)
+    emit.check(max_principle_check(evo))
     v = grid.nodes(1)
     rows = []
-    for k, t in enumerate(evo.times):
-        pv = evo.density[k].sum(axis=0) * grid.h[0]
-        pv = pv / (pv.sum() * grid.h[1])
+    for t, pv in zip(evo.times, evo.marginal(1).density):
         mean = float(np.sum(pv * v) * grid.h[1])
         var = float(np.sum(pv * (v - mean) ** 2) * grid.h[1])
         rows.append((t, mean, var))
     emit.series("v_marginal", ["t", "mean_v", "var_v"], rows)
-    x_marg = law.marginal(0)
     emit.series("x_marginal_final", ["x", "u"],
-                list(zip(grid.nodes(0), x_marg.density[-1])))
+                list(zip(grid.nodes(0), evo.as_law().marginal(0).density[-1])))
 
 
 def _scn_uniqueness(cfg, emit: _Emitter):
@@ -527,13 +498,11 @@ def _scn_uniqueness(cfg, emit: _Emitter):
     rep = uniqueness_map(x_points, fieldA, fieldB, cfg["epsilons"], cfg["T"],
                          cfg["n_paths"], store, base_field=base,
                          threshold=cfg["threshold"])
-    emit.report(rep)
-    rows = []
-    for eps in cfg["epsilons"]:
-        m = rep.details["M_eps"][float(eps)]
-        for i, x in enumerate(x_points):
-            rows.append((x, eps, rep.details["E_abs_delta"][i], m[i]))
-    emit.series("uniqueness_map", ["x", "eps", "N_eps", "M_eps"], rows)
+    emit.check(rep)
+    n_eps, m_eps = rep.details["E_abs_delta"], rep.details["M_eps"]
+    emit.series("uniqueness_map", ["x", "eps", "N_eps", "M_eps"],
+                [(x, eps, n_eps[i], m_eps[float(eps)][i])
+                 for eps in cfg["epsilons"] for i, x in enumerate(x_points)])
 
 
 def _scn_norm_audit(cfg, emit: _Emitter):
@@ -550,8 +519,8 @@ def _scn_norm_audit(cfg, emit: _Emitter):
         "Hhalf": h_half_norm(sig, law, T),
     }
     for kind, nv in values.items():
-        emit.json(f"norm_{kind}", nv.to_dict())
-    emit.report(semicontinuity_probe(sig, grid, law, cfg["deltas"],
+        emit.json(f"norm_{kind}", nv)
+    emit.check(semicontinuity_probe(sig, grid, law, cfg["deltas"],
                                      kind=cfg["probe_kind"], T=T))
     emit.series("norms", ["kind", "value"],
                 [(k, v.value) for k, v in values.items()])
@@ -593,8 +562,8 @@ def run_scenario(config: dict, out_dir=None, seed=None) -> RunArtifact:
             "passed": bool(all(emit.checks.values())) and complete,
             "complete": complete,
         }
-        with open(out / "manifest.json", "w") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True))
     return RunArtifact(out, manifest)
 
 

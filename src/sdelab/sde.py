@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,16 +158,6 @@ class FunctionalSeries:
     @property
     def sup_stderr(self) -> float:
         return float(self.stderr[int(np.argmax(self.values))])
-
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.times, self.values, self.stderr])
-        np.savetxt(path, data, delimiter=",", header="stamp,value,stderr",
-                   comments="", fmt="%.17g")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params,
-                "times": self.times.tolist(), "values": self.values.tolist(),
-                "stderr": self.stderr.tolist()}
 
 
 # -- field evaluation along paths -------------------------------------------
