@@ -125,7 +125,7 @@ def _check_psd(a: np.ndarray) -> None:
         raise ValueError("diffusion matrix a = sigma sigma*/2 is not positive semidefinite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
     """Drift F and diffusion sigma sampled on grid nodes (autonomous).
 

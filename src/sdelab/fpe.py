@@ -79,8 +79,14 @@ class EnergyReport(Serialisable):
 # -- 1-D Fokker-Planck ------------------------------------------------------
 
 def _coeffs_1d(field: CoefficientField):
+    if field.grid.d != 1:
+        raise ValueError("solve_fp_1d needs a one-dimensional field")
+    if field.grid.periodic[0]:
+        raise ValueError("solve_fp_1d expects a non-periodic box")
     F = field.drift[:, 0]
     a = field.a[:, 0, 0]
+    if a.min() < 0:
+        raise ValueError("diffusion coefficient must be nonnegative")
     return F, a
 
 
@@ -104,8 +110,6 @@ def _caps_1d(field: CoefficientField):
 
 def cfl_cap_1d(field: CoefficientField) -> float:
     """Largest stable explicit step: min(h/(2 sup|F|), h^2/(4 sup a))."""
-    if field.grid.d != 1:
-        raise ValueError("cfl_cap_1d needs a one-dimensional field")
     return min(_caps_1d(field))
 
 
@@ -147,12 +151,19 @@ def plan_steps(field: CoefficientField, T: float, dt: float | None = None,
         steps = (max(1, int(np.ceil(T / (0.9 * target))))
                  if np.isfinite(target) else fallback)
         return steps, T / steps, cap
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"dt={dt:.3e} violates the stability cap {limit:.3e}")
+    return _user_steps(T, dt, limit), dt, cap
+
+
+def _user_steps(T: float, dt: float, cap: float) -> int:
+    """Step count of a given dt over [0, T]; the user-dt rule of both the
+    PDE and the SDE solvers: dt must not exceed cap (to a relative 1e-12)
+    and must divide T (to 1e-9 max(1, T))."""
+    if dt > cap * (1 + 1e-12):
+        raise ValueError(f"dt={dt:.3e} exceeds the stability cap {cap:.3e}")
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("dt must divide the horizon T")
-    return steps, dt, cap
+    return steps
 
 
 def _fv_generator(F, a, h: float):
@@ -216,13 +227,7 @@ def solve_fp_1d(field: CoefficientField, u0, T: float, dt: float | None = None,
     Euler steps of the same generator (step rule: ``plan_steps``).
     """
     grid = field.grid
-    if grid.d != 1:
-        raise ValueError("solve_fp_1d needs a one-dimensional field")
-    if grid.periodic[0]:
-        raise ValueError("solve_fp_1d expects a non-periodic box")
     F, a = _coeffs_1d(field)
-    if a.min() < 0:
-        raise ValueError("diffusion coefficient must be nonnegative")
     h = grid.h[0]
     u = _project_initial(grid, u0)
     steps, dt, cap = plan_steps(field, T, dt, implicit)

@@ -26,7 +26,7 @@ def _mass(grid: Grid, slices: np.ndarray) -> np.ndarray:
     return grid.cell_volume * slices.reshape(slices.shape[0], -1).sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Law:
     """``scheme`` is empty except on solver output: ``dt``, ``steps``,
     ``flux``, ``method``, ``implicit``, the explicit CFL ``cap``,

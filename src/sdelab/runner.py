@@ -22,9 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import PRESET_NAMES, make_grid, mollify, preset_field
+from .fields import Grid, Mollifier, make_grid, mollify, preset_field
 from .fpe import (
     _project_initial,
+    _user_steps,
+    cfl_cap_1d,
+    cfl_cap_kinetic,
     energy_monitor,
     max_principle_check,
     plan_steps,
@@ -33,7 +36,7 @@ from .fpe import (
     stationary_bound_check,
 )
 from .laws import Law
-from .maxops import gradient_magnitude, maximal
+from .maxops import gradient_magnitude, half_derivative, maximal, maximal_modified
 from .norms import (
     h1_norm,
     h_half_norm,
@@ -44,6 +47,7 @@ from .norms import (
 from .report import Report, _jsonable, write_csv
 from .sde import (
     BrownianStore,
+    _check_family,
     cauchy_diagnostic,
     dyadic_block_averages,
     dyadic_eps_schedule,
@@ -190,30 +194,38 @@ SCENARIOS = {
 }
 
 
-def _check_grid(spec, errors):
-    try:
-        bounds = spec["bounds"]
-        return make_grid(len(bounds), [tuple(b) for b in bounds],
-                         spec["counts"], spec.get("periodic", False))
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"grid: {exc}")
-        return None
-
-
 def _positive(cfg, key, errors, integer=False):
     v = cfg.get(key)
     if v is None:
         return
     ok = isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
     if integer:
-        ok = ok and int(v) == v
+        ok = ok and isinstance(v, int)
     if not ok:
         errors.append(f"{key}: must be a positive {'integer' if integer else 'number'}")
 
 
-def validate_config(raw: dict) -> dict:
-    """Apply scenario defaults and collect every validation problem."""
-    errors = []
+def _built(key, fn, *args):
+    """fn(*args); what it raises for a bad value becomes a ConfigError
+    keyed by the config field ``key``."""
+    try:
+        return fn(*args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError([f"{key}: {exc}"]) from None
+
+
+def _grid(spec) -> Grid:
+    bounds = spec["bounds"]
+    return make_grid(len(bounds), [tuple(b) for b in bounds], spec["counts"],
+                     spec.get("periodic", False))
+
+
+def _plan(raw):
+    """(cfg, plan): the config with its scenario's defaults, and every input
+    of its run except the numbers (noise, paths, PDE steps), each built or
+    checked by the library function the run calls. A ConfigError lists every
+    bad value, grid and preset, or else the first input that cannot be
+    built, keyed by the config field(s) it comes from."""
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     name = raw.get("scenario")
@@ -223,9 +235,8 @@ def validate_config(raw: dict) -> dict:
         )
     cfg = json.loads(json.dumps(_DEFAULTS[name]))  # deep copy of defaults
     known = set(cfg) | {"scenario", "seed", "out"}
-    for key in raw:
-        if key not in known:
-            errors.append(f"{key}: not a parameter of scenario {name}")
+    errors = [f"{key}: not a parameter of scenario {name}"
+              for key in raw if key not in known]
     cfg.update({k: v for k, v in raw.items() if k in known})
     cfg["scenario"] = name
     cfg.setdefault("seed", 0)
@@ -233,61 +244,77 @@ def validate_config(raw: dict) -> dict:
     seed = cfg["seed"]
     if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
         errors.append("seed: must be a nonnegative integer")
-
-    grid = _check_grid(cfg.get("grid", {}), errors)
-    preset = cfg.get("preset", {})
-    field = None
-    if not isinstance(preset, dict) or preset.get("name") not in PRESET_NAMES:
-        errors.append(f"preset: name must be one of {PRESET_NAMES}")
-    elif grid is not None:
-        try:
-            field = preset_field(preset["name"], preset.get("params", {}), grid)
-        except ValueError as exc:
-            errors.append(f"preset: {exc}")
-
-    n_errors = len(errors)
-    for key in ("T", "dt", "n_paths", "n_points", "p", "C", "threshold"):
-        _positive(cfg, key, errors, integer=key in ("n_paths", "n_points"))
-    if (name in _PDE_SCENARIOS and field is not None
-            and cfg.get("dt") is not None and cfg.get("T") is not None
-            and len(errors) == n_errors):
-        # the solver's own step rule: dt divides T, and the kinetic
-        # transport sweeps stay within their CFL cap
-        try:
-            plan_steps(field, cfg["T"], cfg["dt"], implicit=True)
-        except ValueError as exc:
-            errors.append(f"dt: {exc}")
-    if name in _PDE_SCENARIOS and grid is not None:
-        try:  # the initial density as run builds and the solver projects it
-            if not isinstance(cfg["u0"], dict):
-                raise TypeError("must be a JSON object")
-            _project_initial(grid, _initial_density(grid, cfg["u0"]))
-        except (TypeError, ValueError) as exc:
-            errors.append(f"u0: {exc}")
+    counts = ("n_paths", "n_points", "record_every")
+    for key in ("T", "dt", "p", "C", "threshold") + counts:
+        _positive(cfg, key, errors, integer=key in counts)
     for key in ("deltas", "epsilons", "alphas"):
         v = cfg.get(key)
-        if v is not None and (not isinstance(v, list) or
+        if v is not None and (not isinstance(v, list) or not v or
                               any(not isinstance(x, (int, float)) or x <= 0
                                   for x in v)):
-            errors.append(f"{key}: must be a list of positive numbers")
-    if name in ("thm_multidim_convergence", "thm_1d_convergence"):
+            errors.append(f"{key}: must be a non-empty list of positive numbers")
+    if name in ("thm_multidim_convergence", "thm_1d_convergence", "norm_audit"):
         if isinstance(cfg.get("deltas"), list) and len(cfg["deltas"]) < 4:
-            errors.append("deltas: coupled-refinement family needs >= 4 scales")
+            errors.append("deltas: a refinement family needs >= 4 scales")
     if name == "ae_uniqueness_map":
         if isinstance(cfg.get("deltas"), list) and len(cfg["deltas"]) != 2:
             errors.append("deltas: exactly two regularization scales")
-    if name == "elliptic_energy" and grid is not None:
-        p = cfg.get("p")
-        if isinstance(p, (int, float)) and p <= grid.d:
-            errors.append(f"p: moment estimate needs p > d = {grid.d}")
-    if name == "norm_audit" and grid is not None:
-        n = grid.shape[0]
-        if not (grid.periodic[0] and n & (n - 1) == 0):
-            errors.append("grid: norm_audit needs a periodic power-of-two grid")
-
+    try:
+        grid = _built("grid", _grid, cfg["grid"])
+        field = _built("preset", lambda p: preset_field(
+            p.get("name"), p.get("params"), grid), cfg["preset"])
+    except ConfigError as exc:
+        errors += exc.errors
     if errors:
         raise ConfigError(errors)
-    return cfg
+
+    plan = {"grid": grid, "field": field}
+    if name in _PDE_SCENARIOS:
+        _built("grid", cfl_cap_kinetic if name == "kinetic_langevin"
+               else cfl_cap_1d, field)
+        _built("dt", plan_steps, field, cfg["T"], cfg["dt"], True)
+        plan["u0"] = _built("u0", _initial_density, grid, cfg["u0"])
+        law0 = Law(grid, [0.0], _built("u0", _project_initial, grid,
+                                       plan["u0"])[None])
+        if name == "elliptic_energy":
+            _built("alphas, p", energy_monitor, law0, field, cfg["alphas"],
+                   cfg["p"])
+        if name == "stationary_1d":
+            _built("C", stationary_bound_check, field, law0, cfg["C"],
+                   cfg["rtol"])
+    if name in ("thm_multidim_convergence", "thm_1d_convergence",
+                "ae_uniqueness_map"):
+        plan["fields"] = _built("deltas", lambda: [
+            mollify(field, d) for d in sorted(cfg["deltas"], reverse=True)])
+        plan["dt"] = _built("dt", _pick_dt, cfg["T"], min(
+            stability_cap(f) for f in plan["fields"]), cfg["dt"])
+        x0, n = cfg.get("x0"), cfg["n_paths"]
+        if name == "ae_uniqueness_map":
+            plan["x_points"] = _built("x_span", _x_points, grid, cfg["x_span"],
+                                      cfg["n_points"])
+            x0, n = np.repeat(plan["x_points"], n)[:, None], n * cfg["n_points"]
+            for eps in cfg["epsilons"]:  # the integrand's M_{1/eps}
+                _built("epsilons", maximal_modified, np.zeros(grid.shape), grid,
+                       1.0 / eps)
+        plan["steps"] = _built("x0" if "x0" in cfg else "grid", _check_family,
+                               plan["fields"], x0, cfg["T"], plan["dt"], n,
+                               field.r)[1]
+        if "block_eps" in cfg and grid.d == 1:
+            plan["schedule"] = _built("block_eps", lambda: dyadic_eps_schedule(
+                *cfg["block_eps"]))
+    if name == "norm_audit":
+        plan["law"] = _built("law", lambda w: Law.gaussian(
+            grid, [0.0], w["mean"], w["std"]), cfg["law"])
+        _built("grid", half_derivative, field.diffusion[:, 0, 0], grid)
+        _built("deltas", lambda: [Mollifier(d).taps_1d(grid.h[0])
+                                  for d in cfg["deltas"]])
+    return cfg, plan
+
+
+def validate_config(raw: dict) -> dict:
+    """Apply scenario defaults and build the run's plan (``_plan``); raise
+    a ConfigError with what cannot be built."""
+    return _plan(raw)[0]
 
 
 # -- emission helpers --------------------------------------------------------
@@ -336,15 +363,17 @@ class _Emitter:
 # -- shared scenario pieces ---------------------------------------------------
 
 def _pick_dt(T: float, cap: float, dt_cfg) -> float:
+    """A given dt under the user-dt rule, else T / 2^k under 0.9 cap."""
     if dt_cfg is not None:
-        dt = float(dt_cfg)
-        if dt > cap * (1 + 1e-12):
-            raise ValueError(f"dt={dt} exceeds the stability cap {cap:.3e}")
-        if abs(round(T / dt) * dt - T) > 1e-9 * max(1.0, T):
-            raise ValueError("dt must divide T")
-        return dt
+        _user_steps(T, float(dt_cfg), cap)
+        return float(dt_cfg)
     k = max(0, int(np.ceil(np.log2(T / (0.9 * cap)))))
     return T / 2 ** k
+
+
+def _x_points(grid, x_span, n_points) -> np.ndarray:
+    span = x_span * (grid.upper[0] - grid.lower[0]) / 2
+    return np.linspace(-span, span, n_points) + (grid.upper[0] + grid.lower[0]) / 2
 
 
 def _initial_density(grid, spec) -> np.ndarray:
@@ -405,17 +434,13 @@ def _q_sweep(emit: _Emitter, ensA, ensB, epsilons) -> None:
 
 # -- scenarios ----------------------------------------------------------------
 
-def _scn_convergence(cfg, emit: _Emitter):
-    grid = _check_grid(cfg["grid"], [])
-    base = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
+def _scn_convergence(cfg, plan, emit: _Emitter):
+    grid, base = plan["grid"], plan["field"]
     deltas = sorted(cfg["deltas"], reverse=True)
-    fields = [mollify(base, d) for d in deltas]
-    cap = min(stability_cap(f) for f in fields)
-    dt = _pick_dt(cfg["T"], cap, cfg.get("dt"))
-    steps = int(round(cfg["T"] / dt))
-    store = BrownianStore.generate(cfg["seed"], cfg["n_paths"], steps, dt, base.r)
+    store = BrownianStore.generate(cfg["seed"], cfg["n_paths"], plan["steps"],
+                                   plan["dt"], base.r)
     emit.check(store.validate())
-    ens = simulate_family(fields, cfg["x0"], cfg["T"], store,
+    ens = simulate_family(plan["fields"], cfg["x0"], cfg["T"], store,
                           record_every=cfg["record_every"])
     emit.check(_exit_report(ens))
 
@@ -430,29 +455,25 @@ def _scn_convergence(cfg, emit: _Emitter):
 
     _q_sweep(emit, ens[-2], ens[-1], cfg["epsilons"])
 
-    if grid.d == 1:
+    if "schedule" in plan:  # one-dimensional runs
         h_tilde = maximal(gradient_magnitude(base.drift, grid), grid)
         _eps_series(emit, "q_tilde", "EQtilde", cfg["epsilons"],
                     lambda eps: q_tilde_functional(ens[-2], ens[-1], eps, h_tilde))
-        schedule = dyadic_eps_schedule(*cfg["block_eps"])
-        emit.check(dyadic_block_averages(ens[-2], ens[-1], schedule))
+        emit.check(dyadic_block_averages(ens[-2], ens[-1], plan["schedule"]))
         _eps_series(emit, "l_eps", "EL", cfg["epsilons"],
                     lambda eps: l_eps_functional(ens[-2], ens[-1], eps))
 
 
-def _forward(cfg, emit: _Emitter, solve):
+def _forward(cfg, plan, emit: _Emitter, solve):
     """Grid, field and implicit solve of a forward-PDE scenario; the
     solver's diagnostics go to reports/solver.json."""
-    grid = _check_grid(cfg["grid"], [])
-    field = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
-    evo = solve(field, _initial_density(grid, cfg["u0"]), cfg["T"],
-                cfg.get("dt"), implicit=True)
+    evo = solve(plan["field"], plan["u0"], cfg["T"], cfg["dt"], implicit=True)
     emit.json("solver", evo.scheme)
-    return grid, field, evo
+    return plan["grid"], plan["field"], evo
 
 
-def _scn_elliptic_energy(cfg, emit: _Emitter):
-    grid, field, evo = _forward(cfg, emit, solve_fp_1d)
+def _scn_elliptic_energy(cfg, plan, emit: _Emitter):
+    grid, field, evo = _forward(cfg, plan, emit, solve_fp_1d)
     rep = energy_monitor(evo, field, cfg["alphas"], cfg["p"])
     emit.check(rep, "energy")
     emit.series("energy", *rep.table())
@@ -460,15 +481,15 @@ def _scn_elliptic_energy(cfg, emit: _Emitter):
                 list(zip(grid.nodes(0), evo.density[-1])))
 
 
-def _scn_stationary(cfg, emit: _Emitter):
-    grid, field, evo = _forward(cfg, emit, solve_fp_1d)
+def _scn_stationary(cfg, plan, emit: _Emitter):
+    grid, field, evo = _forward(cfg, plan, emit, solve_fp_1d)
     emit.check(stationary_bound_check(field, evo, cfg["C"], rtol=cfg["rtol"]))
     emit.series("density_final", ["x", "u"],
                 list(zip(grid.nodes(0), evo.density[-1])))
 
 
-def _scn_kinetic(cfg, emit: _Emitter):
-    grid, _, evo = _forward(cfg, emit, solve_kinetic)
+def _scn_kinetic(cfg, plan, emit: _Emitter):
+    grid, _, evo = _forward(cfg, plan, emit, solve_kinetic)
     emit.check(max_principle_check(evo))
     v = grid.nodes(1)
     rows = []
@@ -481,22 +502,13 @@ def _scn_kinetic(cfg, emit: _Emitter):
                 list(zip(grid.nodes(0), evo.as_law().marginal(0).density[-1])))
 
 
-def _scn_uniqueness(cfg, emit: _Emitter):
-    grid = _check_grid(cfg["grid"], [])
-    base = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
-    dA, dB = sorted(cfg["deltas"], reverse=True)
-    fieldA, fieldB = mollify(base, dA), mollify(base, dB)
-    cap = min(stability_cap(fieldA), stability_cap(fieldB))
-    dt = _pick_dt(cfg["T"], cap, cfg.get("dt"))
-    steps = int(round(cfg["T"] / dt))
-    span = cfg["x_span"] * (grid.upper[0] - grid.lower[0]) / 2
-    x_points = np.linspace(-span, span, cfg["n_points"]) \
-        + (grid.upper[0] + grid.lower[0]) / 2
+def _scn_uniqueness(cfg, plan, emit: _Emitter):
+    x_points = plan["x_points"]
     store = BrownianStore.generate(cfg["seed"],
                                    cfg["n_points"] * cfg["n_paths"],
-                                   steps, dt, base.r)
-    rep = uniqueness_map(x_points, fieldA, fieldB, cfg["epsilons"], cfg["T"],
-                         cfg["n_paths"], store, base_field=base,
+                                   plan["steps"], plan["dt"], plan["field"].r)
+    rep = uniqueness_map(x_points, *plan["fields"], cfg["epsilons"], cfg["T"],
+                         cfg["n_paths"], store, base_field=plan["field"],
                          threshold=cfg["threshold"])
     emit.check(rep)
     n_eps, m_eps = rep.details["E_abs_delta"], rep.details["M_eps"]
@@ -505,11 +517,8 @@ def _scn_uniqueness(cfg, emit: _Emitter):
                  for eps in cfg["epsilons"] for i, x in enumerate(x_points)])
 
 
-def _scn_norm_audit(cfg, emit: _Emitter):
-    grid = _check_grid(cfg["grid"], [])
-    field = preset_field(cfg["preset"]["name"], cfg["preset"].get("params"), grid)
-    law = Law.gaussian(grid, [0.0], cfg["law"]["mean"], cfg["law"]["std"])
-    T = cfg["T"]
+def _scn_norm_audit(cfg, plan, emit: _Emitter):
+    grid, field, law, T = plan["grid"], plan["field"], plan["law"], cfg["T"]
     sig = field.diffusion[:, 0, 0]
     F = field.drift
     values = {
@@ -539,15 +548,12 @@ _SCENARIO_FN = {
 
 def run_scenario(config: dict, out_dir=None, seed=None) -> RunArtifact:
     """Validate, execute and archive one scenario run."""
-    raw = dict(config)
-    if seed is not None:
-        raw["seed"] = seed
-    cfg = validate_config(raw)
+    cfg, plan = _plan(config if seed is None else dict(config, seed=seed))
     out = Path(out_dir if out_dir is not None else cfg.get("out", "run_out"))
     emit = _Emitter(out)
     complete = True
     try:
-        _SCENARIO_FN[cfg["scenario"]](cfg, emit)
+        _SCENARIO_FN[cfg["scenario"]](cfg, plan, emit)
     except Exception:
         complete = False
         raise
@@ -608,17 +614,11 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
-        try:
-            validate_config(raw)
-        except ConfigError as exc:
-            for e in exc.errors:
-                print(f"invalid: {e}", file=sys.stderr)
-            return 2
-        print("config ok")
-        return 0
-
     try:
+        if args.command == "validate":
+            validate_config(raw)
+            print("config ok")
+            return 0
         artifact = run_scenario(raw, out_dir=args.out, seed=args.seed)
     except ConfigError as exc:
         for e in exc.errors:

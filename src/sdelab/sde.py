@@ -120,7 +120,7 @@ class BrownianStore:
         return cls(seed, dt, payload.astype(np.float64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     field: CoefficientField
     times: np.ndarray            # recorded stamps, (nt,)
@@ -232,9 +232,36 @@ def _interpolate(values: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-1] + extra)
 
 
-def stability_cap(field: CoefficientField, user_cap: float = np.inf) -> float:
+def stability_cap(field: CoefficientField) -> float:
     """Largest admissible Euler step for this field."""
-    return min(0.1 / (1.0 + field.sup_drift + field.sup_diffusion ** 2), user_cap)
+    return 0.1 / (1.0 + field.sup_drift + field.sup_diffusion ** 2)
+
+
+def _check_family(fields, x0, T: float, dt: float, n_paths: int, r: int,
+                  check_cap: bool = True):
+    """``simulate_family``'s checks that need no increments; returns the
+    fields as a list, the step count, x0 as an array and whether per path."""
+    fields = list(fields)
+    if not fields or any(f.grid != fields[0].grid for f in fields):
+        raise ValueError("a family needs one or more fields on one grid")
+    d = fields[0].grid.d
+    if any(f.r != r for f in fields):
+        raise ValueError("noise dimension mismatch between field and store")
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError("T must be a multiple of the store step")
+    cap = min(stability_cap(f) for f in fields) if check_cap else np.inf
+    if dt > cap + 1e-15:
+        raise ValueError(f"dt={dt} exceeds the stability cap {cap}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape not in ((), (d,), (n_paths,), (n_paths, d)):
+        raise ValueError(f"initial spec shape {x0.shape} not understood")
+    if not np.isfinite(x0).all():
+        raise ValueError("initial point x0 must be finite")
+    per_path = x0.shape == (n_paths,) != (d,)
+    if per_path and d != 1:
+        raise ValueError("per-path initial points must have d components")
+    return fields, n_steps, x0, per_path
 
 
 def simulate_family(fields, x0, T: float, store: BrownianStore,
@@ -249,30 +276,13 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
     (store, fields, x0). Paths leaving the box use the grid's extension
     rule; exit fractions are reported per member.
     """
-    fields = list(fields)
-    if not fields or any(f.grid != fields[0].grid for f in fields):
-        raise ValueError("a family needs one or more fields on one grid")
-    grid = fields[0].grid
-    d, r = grid.d, store.r
-    if any(f.r != r for f in fields):
-        raise ValueError("noise dimension mismatch between field and store")
-    n_steps = int(round(T / store.dt))
-    if abs(n_steps * store.dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("T must be a multiple of the store step")
+    fields, n_steps, x0, per_path = _check_family(
+        fields, x0, T, store.dt, store.n_paths, store.r, check_cap)
     if n_steps > store.n_steps:
         raise ValueError("store does not cover the horizon")
-    cap = min(stability_cap(f) for f in fields) if check_cap else np.inf
-    if store.dt > cap + 1e-15:
-        raise ValueError(f"dt={store.dt} exceeds the stability cap {cap}")
+    grid = fields[0].grid
+    d, r = grid.d, store.r
     K, N = len(fields), store.n_paths
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape not in ((), (d,), (N,), (N, d)):
-        raise ValueError(f"initial spec shape {x0.shape} not understood")
-    if not np.isfinite(x0).all():
-        raise ValueError("initial point x0 must be finite")
-    per_path = x0.shape == (N,) != (d,)
-    if per_path and d != 1:
-        raise ValueError("per-path initial points must have d components")
 
     rec = sorted(set(range(0, n_steps + 1, record_every)) | {n_steps})
     rec_set = {k: idx for idx, k in enumerate(rec)}

@@ -8,6 +8,9 @@ Run statuses go to stderr, so two trees compare with one command::
     diff <(python tools/run_tree_digest.py --src /path/to/other/src) \\
          <(python tools/run_tree_digest.py)
 
+The exit status is 1 when a scenario's ``manifest.json`` is missing or
+says ``complete: false`` (a crashed run), else 0.
+
 Standard library only; ``--src`` (default: this checkout's ``src``) is the
 source directory the scenarios are imported from. ``--keep DIR`` writes the
 configs and the run tree (``DIR/tree/<scenario>/...``) into DIR and leaves
@@ -64,6 +67,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         args.keep.mkdir(parents=True, exist_ok=True)
+    incomplete = []
     with (nullcontext(args.keep) if args.keep is not None
           else tempfile.TemporaryDirectory()) as tmp:
         root = Path(tmp)
@@ -73,9 +77,16 @@ def main(argv=None) -> int:
             run = _sdelab(src, "run", str(cfg), "--out", str(root / "tree" / name))
             print(f"{name}: exit {run.returncode} {run.stdout.strip()}"
                   f"{run.stderr.strip()}", file=sys.stderr)
+            manifest = root / "tree" / name / "manifest.json"
+            if not (manifest.is_file()
+                    and json.loads(manifest.read_text()).get("complete")):
+                incomplete.append(name)
         tree = root / "tree"
         for path in sorted(p for p in tree.rglob("*") if p.is_file()):
             print(f"{_sha256(path)}  {path.relative_to(tree).as_posix()}")
+    if incomplete:
+        print(f"incomplete runs: {', '.join(incomplete)}", file=sys.stderr)
+        return 1
     return 0
 
 
