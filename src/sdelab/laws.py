@@ -20,6 +20,19 @@ __all__ = ["Law"]
 
 
 MASS_TOL = 1e-10
+# Path x stamp positions per block of a path-block walk, chosen by
+# measurement so that a block's temporaries stay in cache; not a setting.
+PATH_BLOCK = 2 ** 15
+
+
+def path_blocks(n_paths: int, n_stamps: int, positions: int | None = None):
+    """Contiguous path slices of about ``positions`` (default PATH_BLOCK)
+    path x stamp positions. No block holds one path unless n_paths is 1:
+    numpy sums an (n, nt) stamp selection in stamp order for n >= 2 but
+    pairwise for n = 1, which would move that path's quadrature."""
+    step = max(2, (positions or PATH_BLOCK) // max(n_stamps, 1))
+    starts = range(0, max(n_paths - 1, 1), step)  # a one-path tail merges
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n_paths])]
 
 
 def _mass(grid: Grid, slices: np.ndarray) -> np.ndarray:
@@ -125,25 +138,37 @@ class Law:
         """
         if grid is None:
             grid = ensemble.grid
-        # One bincount over (stamp, cell) indices. The bins are those of
-        # np.histogramdd on positions clipped into the box: edges[b] <= x <
-        # edges[b+1], the last bin closed, NaN dropped. The arithmetic guess
-        # is off by at most one bin and is corrected against the edges.
+        # One bincount over (stamp, cell) indices per path block of at least
+        # as many positions as bins; the integer counts add up exactly. The
+        # bins are those of np.histogramdd on positions clipped into the
+        # box: edges[b] <= x < edges[b+1], the last bin closed, NaN dropped.
+        # The arithmetic guess is off by at most one bin and is corrected
+        # against the edges. (Binning in a helper that frees its temporaries
+        # before the slices are allocated cost 4x the page faults.)
         nt = ensemble.times.size
-        cell = np.broadcast_to(np.arange(nt), ensemble.paths.shape[:2])
-        valid = ~np.isnan(ensemble.paths).any(axis=-1)
-        for ax in range(grid.d):
-            x = grid.nodes(ax)
-            h = grid.h[ax]
-            edges = np.concatenate([[x[0] - h / 2], x + h / 2])
-            pos = np.clip(ensemble.paths[..., ax], edges[0], edges[-1])
-            with np.errstate(invalid="ignore"):
-                b = ((pos - edges[0]) / h).astype(np.intp)
-            np.clip(b, 0, x.size - 1, out=b)
-            b -= pos < edges[b]
-            b += (pos >= edges[b + 1]) & (b < x.size - 1)
-            cell = cell * x.size + b
-        counts = np.bincount(cell[valid], minlength=nt * np.prod(grid.shape))
+        size = nt * int(np.prod(grid.shape))
+        counts = None
+        for blk in path_blocks(ensemble.paths.shape[0], nt,
+                               max(PATH_BLOCK, size)):
+            paths = ensemble.paths[blk]
+            cell = np.broadcast_to(np.arange(nt), paths.shape[:2])
+            valid = ~np.isnan(paths).any(axis=-1)
+            for ax in range(grid.d):
+                x = grid.nodes(ax)
+                h = grid.h[ax]
+                edges = np.concatenate([[x[0] - h / 2], x + h / 2])
+                pos = np.clip(paths[..., ax], edges[0], edges[-1])
+                with np.errstate(invalid="ignore"):
+                    b = ((pos - edges[0]) / h).astype(np.intp)
+                np.clip(b, 0, x.size - 1, out=b)
+                b -= pos < edges[b]
+                b += (pos >= edges[b + 1]) & (b < x.size - 1)
+                cell = cell * x.size + b
+            block = np.bincount(cell[valid], minlength=size)
+            if counts is None:
+                counts = block
+            else:
+                counts += block
         counts = counts.reshape((nt, -1))
         slices = counts / (counts.sum(axis=1, keepdims=True) * grid.cell_volume)
         slices = slices.reshape((nt,) + grid.shape)

@@ -25,6 +25,7 @@ from .maxops import (
     maximal_modified,
 )
 from .report import Report, Serialisable
+from .sde import path_time_integrals
 
 __all__ = [
     "NormValue",
@@ -113,10 +114,8 @@ def _pathwise_time_integral(ensemble, weight_grid: np.ndarray, T: float):
     if grid.d != 1:
         raise ValueError("pathwise estimators are one-dimensional")
     keep = ensemble.times <= T + 1e-12
-    t = ensemble.times[keep]
-    x = ensemble.paths[:, keep, 0]
-    vals = ensemble.interp_values(weight_grid, x)
-    per_path = np.trapezoid(vals, t, axis=1)
+    per_path = path_time_integrals(ensemble.paths, grid, weight_grid,
+                                   ensemble.times[keep], keep)
     mean = float(per_path.mean())
     stderr = float(per_path.std(ddof=1) / np.sqrt(per_path.size))
     return mean, stderr
@@ -156,18 +155,25 @@ def w11_norm(values, u: Law, T: float, *,
     return NormValue("W11", float(u.time_integral(w, T)), "quadrature", T)
 
 
-def wphi_weak_norm(values, u: Law, T: float, phi: PhiWeight | None = None,
-                   L_grid=None) -> NormValue:
-    """sup over the L grid of phi(L)/(L log L) * int int (|F|+M_L|grad F|) u."""
-    _check_law(values, u, T)
-    if phi is None:
-        phi = PhiWeight.default()
+def _l_grid(L_grid, phi: PhiWeight) -> tuple:
+    """``wphi_weak_norm``'s L grid: e^1 .. e^8 by default; a given grid must
+    start at or above L = e and keep phi(L)/L nondecreasing."""
     if L_grid is None:
         L_grid = tuple(np.exp(np.arange(1, 9)))
     L_grid = tuple(float(L) for L in L_grid)
     if min(L_grid) < np.e - 1e-9:
         raise ValueError("L grid must start at or above L = e")
     phi.check_superlinear(L_grid)
+    return L_grid
+
+
+def wphi_weak_norm(values, u: Law, T: float, phi: PhiWeight | None = None,
+                   L_grid=None) -> NormValue:
+    """sup over the L grid of phi(L)/(L log L) * int int (|F|+M_L|grad F|) u."""
+    _check_law(values, u, T)
+    if phi is None:
+        phi = PhiWeight.default()
+    L_grid = _l_grid(L_grid, phi)
     comp = _as_components(values, u.grid)
     mag = np.sqrt(_sq_mag(comp))
     gmag = gradient_magnitude(comp, u.grid)
@@ -199,7 +205,12 @@ def h_half_norm(values, u: Law, T: float, method: str = "quadrature", *,
     return _finish_sqrt("Hhalf", mean, method, T, se=se)
 
 
-_PROBE_KINDS = {"H1", "WphiWeak", "Hhalf"}
+_PROBE_KINDS = ("H1", "WphiWeak", "Hhalf")
+
+
+def _check_probe_kind(kind) -> None:
+    if kind not in _PROBE_KINDS:
+        raise ValueError(f"kind must be one of {_PROBE_KINDS}")
 
 
 def _norm_of(kind, values, u, T):
@@ -217,8 +228,7 @@ def semicontinuity_probe(values, grid: Grid, u: Law, deltas, kind: str = "H1",
     Checks ||f|| <= min over the schedule tail of ||f_n|| (and the law-side
     variant) up to a relative tolerance.
     """
-    if kind not in _PROBE_KINDS:
-        raise ValueError(f"kind must be one of {_PROBE_KINDS}")
+    _check_probe_kind(kind)
     deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 4:
         raise ValueError("schedule needs at least 4 terms")

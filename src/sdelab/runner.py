@@ -38,6 +38,9 @@ from .fpe import (
 from .laws import Law
 from .maxops import gradient_magnitude, half_derivative, maximal, maximal_modified
 from .norms import (
+    PhiWeight,
+    _check_probe_kind,
+    _l_grid,
     h1_norm,
     h_half_norm,
     semicontinuity_probe,
@@ -47,6 +50,7 @@ from .norms import (
 from .report import Report, _jsonable, write_csv
 from .sde import (
     BrownianStore,
+    _check_cauchy,
     _check_family,
     cauchy_diagnostic,
     dyadic_block_averages,
@@ -299,6 +303,9 @@ def _plan(raw):
         plan["steps"] = _built("x0" if "x0" in cfg else "grid", _check_family,
                                plan["fields"], x0, cfg["T"], plan["dt"], n,
                                field.r)[1]
+        if name != "ae_uniqueness_map":
+            _built("deltas, p", _check_cauchy, len(plan["fields"]), cfg["p"])
+            _built("epsilons", _log_scales, cfg["epsilons"])
         if "block_eps" in cfg and grid.d == 1:
             plan["schedule"] = _built("block_eps", lambda: dyadic_eps_schedule(
                 *cfg["block_eps"]))
@@ -306,6 +313,8 @@ def _plan(raw):
         plan["law"] = _built("law", lambda w: Law.gaussian(
             grid, [0.0], w["mean"], w["std"]), cfg["law"])
         _built("grid", half_derivative, field.diffusion[:, 0, 0], grid)
+        _built("probe_kind", _check_probe_kind, cfg["probe_kind"])
+        _built("L_grid", _l_grid, cfg["L_grid"], PhiWeight.default())
         _built("deltas", lambda: [Mollifier(d).taps_1d(grid.h[0])
                                   for d in cfg["deltas"]])
     return cfg, plan
@@ -420,12 +429,21 @@ def _eps_series(emit: _Emitter, name, column, epsilons, functional) -> list:
     return series
 
 
+def _log_scales(epsilons) -> np.ndarray:
+    """|log eps| per epsilon, the denominator of the Q growth ratios."""
+    eps = np.asarray(epsilons, dtype=float)
+    if np.any(eps >= 1.0):
+        raise ValueError("each epsilon must be below 1: the Q growth ratio "
+                         "divides by |log eps|")
+    return np.abs(np.log(eps))
+
+
 def _q_sweep(emit: _Emitter, ensA, ensB, epsilons) -> None:
     series = _eps_series(emit, "q_functional", "EQ", epsilons,
                          lambda eps: q_functional(ensA, ensB, eps))
     sups = [fs.sup for fs in series]
     sup_ses = [fs.sup_stderr for fs in series]
-    logs = np.abs(np.log(np.asarray(epsilons, dtype=float)))
+    logs = _log_scales(epsilons)
     # informational: the per-epsilon growth profile of the coupling functional
     emit.json("q_ratio_shape", dict(
         epsilons=epsilons, sup_EQ=sups, sup_stderr=sup_ses,

@@ -10,13 +10,15 @@ which is what makes the pairwise difference functionals meaningful.
 from __future__ import annotations
 
 import functools
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import CoefficientField, Grid
-from .laws import Law
+from .laws import Law, path_blocks
 from .maxops import gradient_magnitude, maximal, maximal_modified
 from .report import Report
 
@@ -47,14 +49,19 @@ class BrownianStore:
     Increments are generated once from a counter-based generator keyed by the
     master seed; every ensemble built on the same store is driven by the
     identical noise. ``coarsen`` aggregates the same increments onto a
-    coarser step so refinement studies stay coupled.
+    coarser step and ``prefix`` keeps the first paths, so refinement studies
+    and sub-ensembles stay coupled: both keep the store's lineage, and two
+    stores carry the same noise exactly when their lineages agree.
     """
 
-    def __init__(self, seed: int, dt: float, increments: np.ndarray):
+    def __init__(self, seed: int, dt: float, increments: np.ndarray,
+                 lineage: tuple | None = None):
         self.seed = int(seed)
         self.dt = float(dt)
         self.increments = increments  # (N, steps, r)
         self.increments.setflags(write=False)
+        # (seed, finest dt, steps per path as generated, r)
+        self.lineage = lineage or (self.seed, self.dt, self.n_steps, self.r)
 
     @classmethod
     def generate(cls, seed: int, n_paths: int, n_steps: int, dt: float,
@@ -82,10 +89,17 @@ class BrownianStore:
             raise ValueError("factor must divide the step count")
         n, s, r = self.increments.shape
         agg = self.increments.reshape(n, s // factor, factor, r).sum(axis=2)
-        return BrownianStore(self.seed, self.dt * factor, agg)
+        return BrownianStore(self.seed, self.dt * factor, agg, self.lineage)
+
+    def prefix(self, n_paths: int) -> "BrownianStore":
+        """The first ``n_paths`` paths, same lineage (a view, no copy)."""
+        if not 0 < n_paths <= self.n_paths:
+            raise ValueError(f"store must hold {n_paths} paths")
+        return BrownianStore(self.seed, self.dt, self.increments[:n_paths],
+                             self.lineage)
 
     def same_noise_as(self, other: "BrownianStore") -> bool:
-        return self.seed == other.seed and self.r == other.r
+        return self.lineage == other.lineage
 
     def validate(self) -> Report:
         """Gaussian sanity bands on the increment sample moments."""
@@ -111,6 +125,8 @@ class BrownianStore:
 
     @classmethod
     def load(cls, path) -> "BrownianStore":
+        """The file holds no lineage: a loaded store's finest dt is its own
+        dt, so a saved coarsened store no longer couples to its origin."""
         with open(path, "rb") as fh:
             magic = fh.read(len(_MAGIC))
             if magic != _MAGIC:
@@ -232,6 +248,21 @@ def _interpolate(values: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-1] + extra)
 
 
+def path_time_integrals(paths: np.ndarray, grid: Grid, values: np.ndarray,
+                        times: np.ndarray, stamps) -> np.ndarray:
+    """Per-path trapezoid over ``times`` of grid values along
+    ``paths[:, stamps]`` (paths (N, nt, d), stamps a mask or indices).
+
+    Walked in path blocks that pick their stamps from their own slice, so
+    no (N, len(times)) copy exists; no path's integral depends on the blocks.
+    """
+    per_path = np.empty(paths.shape[0])
+    for blk in path_blocks(paths.shape[0], len(times)):
+        along = _interpolate(values, grid, paths[blk][:, stamps])
+        per_path[blk] = np.trapezoid(along, times, axis=1)
+    return per_path
+
+
 def stability_cap(field: CoefficientField) -> float:
     """Largest admissible Euler step for this field."""
     return 0.1 / (1.0 + field.sup_drift + field.sup_diffusion ** 2)
@@ -264,6 +295,13 @@ def _check_family(fields, x0, T: float, dt: float, n_paths: int, r: int,
     return fields, n_steps, x0, per_path
 
 
+# From this many paths on (a measured gate, not a setting) simulate_family
+# steps the two path halves on two threads; numpy releases the interpreter
+# lock inside each step's array operations.
+POOL_PATHS = 2 ** 16
+_POOL = ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1))
+
+
 def simulate_family(fields, x0, T: float, store: BrownianStore,
                     record_every: int = 1,
                     check_cap: bool = True) -> list[PathEnsemble]:
@@ -274,7 +312,8 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
     every member with the same weights from one stacked table, so each
     member equals its own ``simulate_ensemble`` bit for bit. Deterministic given
     (store, fields, x0). Paths leaving the box use the grid's extension
-    rule; exit fractions are reported per member.
+    rule; exit fractions are reported per member. From POOL_PATHS paths on,
+    the two path halves step on two threads with identical results.
     """
     fields, n_steps, x0, per_path = _check_family(
         fields, x0, T, store.dt, store.n_paths, store.r, check_cap)
@@ -288,7 +327,6 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
     rec_set = {k: idx for idx, k in enumerate(rec)}
     out = np.empty((K, N, len(rec), d))
     out[:, :, 0] = x0[:, None] if per_path else x0
-    X = np.moveaxis(out[:, :, 0], -1, 0).copy()  # (d, K, N), component-major
     dt = store.dt
     axes, corners = _axes(grid)
     walls = [(a, grid.lower[a], grid.upper[a]) for a in range(d)
@@ -300,24 +338,41 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
         for f in fields], axis=-1)
     offsets = corners[:, None, None] \
         + table.shape[-1] // K * np.arange(K)[:, None]  # (2^d, K, 1)
-    for k in range(n_steps):
-        # one strided read of the path-major store, then contiguous rows
-        dW = store.increments[:, k, :].T.copy()  # (r, N)
-        FS = _combine(table, *_locate(axes, X), offsets)  # (d + d*r, K, N)
-        X += FS[:d] * dt
-        noise = FS[d::r] * dW[0]
-        for j in range(1, r):
-            noise += FS[d + j::r] * dW[j]
-        X += noise
-        if not np.isfinite(X).all():
-            bad = np.nonzero(~np.isfinite(X).all(axis=0))[1][0]
-            raise FloatingPointError(
-                f"non-finite path value at step {k + 1} (path {bad})")
-        if walls:
-            hits += functools.reduce(np.logical_or, [(X[a] < lo) | (X[a] > hi)
-                                                     for a, lo, hi in walls])
-        if (k + 1) in rec_set:
-            out[:, :, rec_set[k + 1]] = np.moveaxis(X, 0, -1)
+
+    def walk(part):
+        """The step loop on one path range: None or the first (step, member,
+        path) with a non-finite value."""
+        X = np.moveaxis(out[:, part, 0], -1, 0).copy()  # (d, K, n)
+        inc, rows, hit = store.increments[part], out[:, part], hits[:, part]
+        for k in range(n_steps):
+            # one strided read of the path-major store, then contiguous rows
+            dW = inc[:, k, :].T.copy()  # (r, n)
+            FS = _combine(table, *_locate(axes, X), offsets)  # (d + d*r, K, n)
+            X += FS[:d] * dt
+            noise = FS[d::r] * dW[0]
+            for j in range(1, r):
+                noise += FS[d + j::r] * dW[j]
+            X += noise
+            if not np.isfinite(X).all():
+                member, path = np.nonzero(~np.isfinite(X).all(axis=0))
+                return k + 1, int(member[0]), part.start + int(path[0])
+            if walls:
+                hit += functools.reduce(np.logical_or, [
+                    (X[a] < lo) | (X[a] > hi) for a, lo, hi in walls])
+            if (k + 1) in rec_set:
+                rows[:, :, rec_set[k + 1]] = np.moveaxis(X, 0, -1)
+        return None
+
+    if N < POOL_PATHS:
+        bad = [walk(slice(0, N))]
+    else:
+        bad = [f.result() for f in [_POOL.submit(walk, part) for part in
+                                    (slice(0, N // 2), slice(N // 2, N))]]
+    bad = [b for b in bad if b is not None]
+    if bad:
+        step, _, path = min(bad)
+        raise FloatingPointError(
+            f"non-finite path value at step {step} (path {path})")
     times = dt * np.asarray(rec, dtype=float)
     return [PathEnsemble(f, times, out[m], store, dt, x0,
                          exit_fraction=int(hits[m].sum()) / (N * n_steps))
@@ -431,6 +486,14 @@ def coefficient_distance(fieldA: CoefficientField, fieldB: CoefficientField,
     return float(u.time_integral(ds + dF, T))
 
 
+def _check_cauchy(n_members: int, p: float) -> None:
+    """``cauchy_diagnostic``'s checks that need no paths."""
+    if n_members < 4:
+        raise ValueError("need a family of at least 4 coupled ensembles")
+    if p <= 1:
+        raise ValueError("p must be > 1")
+
+
 def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0,
                       law_grid: Grid | None = None) -> Report:
     """Matrix of E sup_t |Delta_t|^p over coupled ensemble pairs.
@@ -439,10 +502,7 @@ def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0,
     worst entry at each refinement level is nonincreasing within two
     standard errors.
     """
-    if len(ensembles) < 4:
-        raise ValueError("need a family of at least 4 coupled ensembles")
-    if p <= 1:
-        raise ValueError("p must be > 1")
+    _check_cauchy(len(ensembles), p)
     k = len(ensembles)
     esup = np.zeros((k, k))
     se = np.zeros((k, k))
@@ -550,12 +610,10 @@ def uniqueness_map(x_points, fieldA: CoefficientField, fieldB: CoefficientField,
     x_points = np.asarray(x_points, dtype=float)
     n_x = x_points.size
     need = n_x * n_paths
-    if store.n_paths < need:
-        raise ValueError(f"store must hold {need} paths")
     if fieldA.grid.d != 1:
         raise ValueError("uniqueness_map is one-dimensional")
     x0 = np.repeat(x_points, n_paths)
-    sub = BrownianStore(store.seed, store.dt, store.increments[:need])
+    sub = store.prefix(need)
     ensA, ensB = (simulate_ensemble(f, x0, t, sub if k == 1 else sub.coarsen(k),
                                     record_every=max(1, 16 // k))
                   for f, k in ((fieldA, factorA), (fieldB, factorB)))
@@ -563,9 +621,9 @@ def uniqueness_map(x_points, fieldA: CoefficientField, fieldB: CoefficientField,
     common = np.intersect1d(np.round(ensA.times, 12), np.round(ensB.times, 12))
     ia = np.searchsorted(np.round(ensA.times, 12), common)
     ib = np.searchsorted(np.round(ensB.times, 12), common)
-    dmat = np.abs(ensA.paths[:, ia, 0] - ensB.paths[:, ib, 0])
     kt = int(np.argmin(np.abs(common - t)))
-    n_eps = dmat[:, kt].reshape(n_x, n_paths).mean(axis=1)
+    gap = np.abs(ensA.paths[:, ia[kt], 0] - ensB.paths[:, ib[kt], 0])
+    n_eps = gap.reshape(n_x, n_paths).mean(axis=1)
 
     base = base_field if base_field is not None else fieldA
     g = base.grid
@@ -574,12 +632,11 @@ def uniqueness_map(x_points, fieldA: CoefficientField, fieldB: CoefficientField,
     absF = np.linalg.norm(base.drift, axis=-1)
     gF = gradient_magnitude(base.drift, g)
     m_eps = {}
-    xa = ensA.paths[:, ia, 0][:, common <= t + 1e-12]
-    ta = common[common <= t + 1e-12]
+    upto = common <= t + 1e-12
     for eps in eps_list:
         integrand = msig + absF + maximal_modified(gF, g, 1.0 / eps)
-        along = _interpolate(integrand, g, xa[..., None])
-        per_path = np.trapezoid(along, ta, axis=1)
+        per_path = path_time_integrals(ensA.paths, g, integrand, common[upto],
+                                       ia[upto])
         m_eps[float(eps)] = per_path.reshape(n_x, n_paths).mean(axis=1)
     frac = float(np.mean(n_eps <= threshold))
     return Report("uniqueness_map", frac == 1.0, {

@@ -1,0 +1,56 @@
+"""The last config keys ``run`` used to reject after ``validate`` accepted
+them: ``p`` of the convergence scenarios, ``probe_kind`` and ``L_grid`` of
+``norm_audit``, and epsilons at or above 1, whose Q growth ratio divides by
+|log eps|. Each is a ConfigError keyed by its field, exit status 2 from both
+commands, no traceback and no run tree."""
+
+import json
+
+import pytest
+
+from sdelab import ConfigError, validate_config
+from sdelab.runner import main
+
+# (config, the key of its error)
+UNPLANNED = {
+    "p_at_most_one_1d": ({"scenario": "thm_1d_convergence", "p": 0.5},
+                         "deltas, p"),
+    "p_at_most_one_2d": ({"scenario": "thm_multidim_convergence", "p": 1.0},
+                         "deltas, p"),
+    "probe_kind_unknown": ({"scenario": "norm_audit", "probe_kind": "W11"},
+                           "probe_kind"),
+    "L_grid_below_e": ({"scenario": "norm_audit", "L_grid": [2.0]}, "L_grid"),
+    "L_grid_empty": ({"scenario": "norm_audit", "L_grid": []}, "L_grid"),
+    "epsilon_of_one": ({"scenario": "thm_1d_convergence", "epsilons": [1.0],
+                        "n_paths": 20, "T": 0.125}, "epsilons"),
+    "epsilon_above_one_2d": ({"scenario": "thm_multidim_convergence",
+                              "epsilons": [0.1, 2.0]}, "epsilons"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPLANNED))
+def test_unplanned_key_fails_validate_and_run(case, tmp_path, capsys):
+    cfg, key = UNPLANNED[case]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert any(e.startswith(f"{key}:") for e in exc.value.errors), \
+        exc.value.errors
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid: {key}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"scenario": "thm_1d_convergence", "p": 1.5},
+    {"scenario": "norm_audit", "probe_kind": "H1"},
+    {"scenario": "norm_audit", "L_grid": [2.75, 10.0]},
+    {"scenario": "thm_1d_convergence", "epsilons": [0.999]},
+])
+def test_values_inside_the_rules_still_validate(cfg):
+    validate_config(cfg)

@@ -1,0 +1,76 @@
+"""Time one criterion-04 repetition stage by stage.
+
+Criterion 04 (``tests/test_acceptance.py``) repeats one workload 20 times:
+the OU preset on [-6, 6] with 1024 cells, a Brownian store of N paths x 256
+steps (N = 100 000), Euler-Maruyama from x0 = 1 recorded every 4 steps, the
+histogram law and the quadrature and pathwise H1 norms. This script runs
+that repetition ``--reps`` times in one process and prints one JSON line per
+repetition: the seconds of each stage (``noise``, ``euler``, ``histogram``,
+``pathwise_h1``) by ``time.perf_counter`` and the process's peak RSS so far
+in MB (``resource.getrusage``). The first line's ``peak_rss_mb`` is the
+peak of one repetition::
+
+    python tools/stage_profile.py --paths 100000 --reps 3
+    python tools/stage_profile.py --src /path/to/other/src
+
+Standard library and ``sdelab`` only; ``--src`` (default: this checkout's
+``src``) is the source directory ``sdelab`` is imported from.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src",
+                        help="source directory holding the sdelab package")
+    parser.add_argument("--paths", type=int, default=100000)
+    parser.add_argument("--reps", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=100,
+                        help="store seed of the first repetition")
+    args = parser.parse_args(argv)
+    if args.paths < 2 or args.reps < 1:
+        parser.error("need --paths >= 2 and --reps >= 1")
+    sys.path.insert(0, str(args.src.resolve()))
+    import sdelab as sl
+
+    grid = sl.make_grid(1, (-6.0, 6.0), 1024)
+    field = sl.preset_field("ou", {}, grid)
+    for rep in range(args.reps):
+        stages = {}
+        t = time.perf_counter()
+        store = sl.BrownianStore.generate(args.seed + rep, args.paths, 256,
+                                          1.0 / 256.0)
+        stages["noise"] = time.perf_counter() - t
+        t = time.perf_counter()
+        ens = sl.simulate_ensemble(field, 1.0, 1.0, store, record_every=4)
+        stages["euler"] = time.perf_counter() - t
+        t = time.perf_counter()
+        law = sl.Law.from_ensemble(ens)
+        stages["histogram"] = time.perf_counter() - t
+        quad = sl.h1_norm(field.drift, law, T=1.0)
+        t = time.perf_counter()
+        path = sl.h1_norm(field.drift, law, T=1.0, method="pathwise",
+                          ensemble=ens)
+        stages["pathwise_h1"] = time.perf_counter() - t
+        z = abs(quad.value - path.value) / path.mc_stderr
+        del store, ens, law
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps({"rep": rep, "paths": args.paths,
+                          "stages_s": {k: round(v, 4) for k, v in stages.items()},
+                          "total_s": round(sum(stages.values()), 4),
+                          "z": round(z, 3), "peak_rss_mb": round(peak, 1)}),
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
