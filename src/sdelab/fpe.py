@@ -5,16 +5,14 @@ conservative finite-volume scheme (upwind advection, flux-form diffusion).
 Kinetic phase-space equation on a 2-D (x, v) grid with transport in both
 coordinates and diffusion in v only, solved by dimensional splitting.
 
-Both solvers step explicitly by default, under the CFL cap
-min(h/(2 sup|speed|), h^2/(4 sup a)); that scheme is the reference. With
-``implicit=True`` the finite-volume generator A of ``_fv_generator`` (the
-same fluxes as a sparse tridiagonal matrix per line) is factored once as
-I - dt A and every step is one backward-Euler solve: the whole 1-D
-operator, or the v-diffusion of the kinetic splitting, whose transport
-sweeps stay explicit. A has nonnegative off-diagonals and zero column sums,
-so I - dt A is an M-matrix: positivity and mass hold for any dt, and the
-default step is 0.9 times the transport cap h/(2 sup|speed|) instead of the
-diffusive one.
+One description of the operator, the bands of the finite-volume generator A
+(``_fv_bands``), and one step loop, ``_march``. ``_euler_step`` steps
+du/dt = A u forward, u + dt A u, under the CFL cap min(h/(2 sup|speed|),
+h^2/(4 sup a)) by default, or backward with ``implicit=True`` (I - dt A
+factored once; an M-matrix, as A has nonnegative off-diagonals and zero
+column sums, so positivity and mass hold for any dt, and the default step
+is 0.9 times the transport cap h/(2 sup|speed|)). The kinetic solver steps
+its v-diffusion so, between explicit upwind transport sweeps.
 
 Both solvers return a ``Law`` whose ``scheme`` records the numerics. Monitors:
 pointwise stationary bound, energy inequality for int u^alpha between
@@ -30,7 +28,7 @@ from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .fields import CoefficientField, Grid
-from .laws import Law
+from .laws import Law, _check_horizon
 from .report import Report, Serialisable, write_csv
 
 __all__ = [
@@ -137,8 +135,9 @@ def plan_steps(field: CoefficientField, T: float, dt: float | None = None,
     rounded down to divide T. Implicit: the default is 0.9 times the
     transport cap (200 equal steps in 1-D, 50 kinetic, without transport);
     a user dt is limited only by the transport cap of the kinetic sweeps,
-    which stay explicit. A user dt must divide T.
+    which stay explicit. A user dt must divide T, and T must be positive.
     """
+    _check_horizon(T)
     if field.grid.d == 1:
         (transport, diffusive), fallback = _caps_1d(field), 200
         limit = np.inf
@@ -166,53 +165,73 @@ def _user_steps(T: float, dt: float, cap: float) -> int:
     return steps
 
 
-def _fv_generator(F, a, h: float):
-    """Finite-volume generator A, du/dt = A u, along the last axis.
+def _fv_bands(F, a, h: float):
+    """Bands of the finite-volume generator A, du/dt = A u, along the last
+    axis: (A u)_i = lower_i u_{i-1} + diag_i u_i + upper_i u_{i+1}.
 
-    The explicit scheme's fluxes: upwind advection with node speeds F
-    averaged onto interfaces, flux-form diffusion d/dx(a u), zero flux
-    through the boundary. ``F`` (broadcast to ``a``) and ``a`` have shape
-    (..., n); each leading index is one line, and A is block-tridiagonal
-    over the lines in C order, acting on ``u.reshape(-1)``. Off-diagonals
-    are nonnegative and the diagonal is minus its column's off-diagonal sum,
-    so every column sums to zero.
-    """
+    Upwind advection with node speeds F averaged onto interfaces, flux-form
+    diffusion d/dx(a u), zero flux through the boundary. ``F`` (broadcast to
+    ``a``), ``a`` and each band have shape (..., n), one line per leading
+    index. Off-diagonals are nonnegative (lower_0 = upper_{n-1} = 0) and the
+    diagonal is minus its column's off-diagonal sum."""
     a = np.asarray(a, dtype=float)
     F = np.broadcast_to(np.asarray(F, dtype=float), a.shape)
     F_half = 0.5 * (F[..., :-1] + F[..., 1:])
-    pad = np.zeros(a.shape[:-1] + (1,))
+    zero = np.zeros(a.shape[:-1] + (1,))
     # A[i+1, i], out of node i rightward; A[i, i+1], out of node i+1 leftward
-    lower = np.concatenate([(np.maximum(F_half, 0.0) + a[..., :-1] / h) / h,
-                            pad], axis=-1).reshape(-1)[:-1]
-    upper = np.concatenate([(a[..., 1:] / h - np.minimum(F_half, 0.0)) / h,
-                            pad], axis=-1).reshape(-1)[:-1]
-    diag = -(np.concatenate([[0.0], upper]) + np.concatenate([lower, [0.0]]))
-    return sparse.diags_array([lower, diag, upper], offsets=[-1, 0, 1],
-                              format="csc")
+    right = (np.maximum(F_half, 0.0) + a[..., :-1] / h) / h
+    left = (a[..., 1:] / h - np.minimum(F_half, 0.0)) / h
+    diag = -(np.concatenate([zero, left], axis=-1)
+             + np.concatenate([right, zero], axis=-1))
+    return (np.concatenate([zero, right], axis=-1), diag,
+            np.concatenate([left, zero], axis=-1))
 
 
-def _backward_euler(F, a, h: float, dt: float):
-    """u -> the solution of (I - dt A) v = u, with A from ``_fv_generator``
-    factored once; u and v have the shape of ``a``."""
-    A = _fv_generator(F, a, h)
-    lu = splinalg.splu((sparse.eye_array(A.shape[0]) - dt * A).tocsc(),
-                       permc_spec="NATURAL")
-    shape = np.shape(a)
-    return lambda u: lu.solve(u.reshape(-1)).reshape(shape)
+def _fv_generator(F, a, h: float):
+    """``_fv_bands`` as one sparse matrix, block-tridiagonal over the lines
+    in C order and acting on ``u.reshape(-1)``; every column sums to zero."""
+    lower, diag, upper = _fv_bands(F, a, h)
+    return sparse.diags_array(
+        [lower.reshape(-1)[1:], diag.reshape(-1), upper.reshape(-1)[:-1]],
+        offsets=[-1, 0, 1], format="csc")
 
 
-def _evolution(grid: Grid, stamps, slices, **scheme) -> Law:
-    """Pack a solver run with its diagnostics (see ``Law``)."""
-    scheme["dt_over_cap"] = scheme["dt"] / scheme["cap"]
-    scheme["mass_drift"] = float(grid.cell_volume
-                                 * (slices[-1].sum() - slices[0].sum()))
-    return Law(grid, np.array(stamps), np.array(slices), scheme)
+def _euler_step(F, a, h: float, dt: float, implicit: bool):
+    """One Euler step u -> v of du/dt = A u (``_fv_bands``), u and v of the
+    shape of ``a``. Forward: v = u + dt A u from the bands. Backward: the
+    solve of (I - dt A) v = u, with I - dt A factored once."""
+    if implicit:
+        A = _fv_generator(F, a, h)
+        lu = splinalg.splu((sparse.eye_array(A.shape[0]) - dt * A).tocsc(),
+                           permc_spec="NATURAL")
+        return lambda u: lu.solve(u.reshape(-1)).reshape(u.shape)
+    lower, diag, upper = _fv_bands(F, a, h)
+    lower, upper = lower[..., 1:], upper[..., :-1]
+
+    def forward(u):
+        Au = diag * u
+        Au[..., 1:] += lower * u[..., :-1]
+        Au[..., :-1] += upper * u[..., 1:]
+        return u + dt * Au
+    return forward
 
 
-def _advect_upwind(u: np.ndarray, speed_half: np.ndarray) -> np.ndarray:
-    """Interface fluxes of an upwind advection step (interior interfaces)."""
-    return (np.maximum(speed_half, 0.0) * u[:-1]
-            + np.minimum(speed_half, 0.0) * u[1:])
+def _march(grid: Grid, u: np.ndarray, step, steps: int, dt: float,
+           record_every: int, **scheme) -> Law:
+    """Take ``steps`` steps u -> step(u), clamping each result at zero, and
+    record u at 0, every ``record_every`` steps and at the end. The ``Law``
+    carries ``scheme`` after dt and steps, then dt_over_cap and mass_drift."""
+    _check_horizon(record_every=record_every)
+    stamps, slices = [0.0], [u.copy()]
+    for k in range(1, steps + 1):
+        u = step(u)
+        np.maximum(u, 0.0, out=u)
+        if k % record_every == 0 or k == steps:
+            stamps.append(k * dt)
+            slices.append(u.copy())
+    return Law(grid, np.array(stamps), np.array(slices), dict(
+        dt=float(dt), steps=steps, **scheme, dt_over_cap=float(dt) / scheme["cap"],
+        mass_drift=float(grid.cell_volume * (slices[-1].sum() - slices[0].sum()))))
 
 
 def solve_fp_1d(field: CoefficientField, u0, T: float, dt: float | None = None,
@@ -222,39 +241,18 @@ def solve_fp_1d(field: CoefficientField, u0, T: float, dt: float | None = None,
 
     Advection d/dx(F u) uses upwind interface fluxes; the diffusion term
     d^2/dx^2(a u) is differenced as a flux of d/dx(a u), so total mass
-    telescopes exactly (zero flux through the boundary). The default is
-    explicit Euler under ``cfl_cap_1d``; ``implicit=True`` takes backward-
-    Euler steps of the same generator (step rule: ``plan_steps``).
+    telescopes exactly (zero flux through the boundary). ``_march`` over
+    ``_euler_step``: forward under ``cfl_cap_1d`` by default, backward with
+    ``implicit=True`` (``plan_steps``); about 200 steps are recorded.
     """
     grid = field.grid
     F, a = _coeffs_1d(field)
-    h = grid.h[0]
     u = _project_initial(grid, u0)
     steps, dt, cap = plan_steps(field, T, dt, implicit)
-    if record_every is None:
-        record_every = max(1, steps // 200)
-    F_half = 0.5 * (F[:-1] + F[1:])
-    if implicit:
-        solve = _backward_euler(F, a, h, dt)
-
-    stamps = [0.0]
-    slices = [u.copy()]
-    for k in range(steps):
-        if implicit:
-            u = solve(u)
-        else:
-            au = a * u
-            flux = _advect_upwind(u, F_half) - (au[1:] - au[:-1]) / h
-            u = u.copy()
-            u[:-1] -= dt / h * flux
-            u[1:] += dt / h * flux
-        np.maximum(u, 0.0, out=u)
-        if (k + 1) % record_every == 0 or k + 1 == steps:
-            stamps.append((k + 1) * dt)
-            slices.append(u.copy())
-    return _evolution(
-        grid, stamps, slices, dt=float(dt), steps=steps, flux="upwind",
-        method="fv_implicit_1d" if implicit else "fv_explicit_1d",
+    return _march(
+        grid, u, _euler_step(F, a, grid.h[0], dt, implicit), steps, dt,
+        max(1, steps // 200) if record_every is None else record_every,
+        flux="upwind", method="fv_implicit_1d" if implicit else "fv_explicit_1d",
         implicit=implicit, cap=cap)
 
 
@@ -347,18 +345,14 @@ def energy_monitor(evolution: Law, field: CoefficientField,
 def _kinetic_coeffs(field: CoefficientField):
     if field.grid.d != 2:
         raise ValueError("the kinetic solver needs a 2-D (x, v) field")
-    speed_x = field.drift[..., 0]
-    speed_v = field.drift[..., 1]
-    a_vv = field.a[..., 1, 1]
     if np.abs(field.a[..., 0, 0]).max() > 1e-14:
         raise ValueError("kinetic diffusion must act in v only")
-    return speed_x, speed_v, a_vv
+    return field.drift[..., 0], field.drift[..., 1], field.a[..., 1, 1]
 
 
 def _caps_kinetic(field: CoefficientField):
     speed_x, speed_v, a_vv = _kinetic_coeffs(field)
-    hx, hv = field.grid.h
-    return _caps([speed_x, speed_v], [hx, hv], a_vv, hv)
+    return _caps([speed_x, speed_v], field.grid.h, a_vv, field.grid.h[1])
 
 
 def cfl_cap_kinetic(field: CoefficientField) -> float:
@@ -374,7 +368,8 @@ def _sweep(u: np.ndarray, speed: np.ndarray, h: float, dt: float,
         return _sweep(u.T, speed.T, h, dt, 0, flux).T
     s_half = 0.5 * (speed[:-1] + speed[1:])
     if flux == "upwind":
-        phi = _advect_upwind(u, s_half)
+        phi = (np.maximum(s_half, 0.0) * u[:-1]
+               + np.minimum(s_half, 0.0) * u[1:])
     elif flux == "centered":
         phi = s_half * 0.5 * (u[:-1] + u[1:])
     else:
@@ -391,52 +386,37 @@ def solve_kinetic(field: CoefficientField, u0, T: float,
                   implicit: bool = False) -> Law:
     """Dimensional-splitting solve of the phase-space forward equation.
 
-    Per step: transport in x with speed drift_x (= v for the shipped preset),
-    transport in v with speed drift_v, then flux-form diffusion in v with
-    coefficient a_vv. Each sweep is conservative with zero boundary flux.
-    ``implicit=True`` makes the v-diffusion a backward-Euler solve (one
-    tridiagonal line per x row, factored once); the transport sweeps stay
-    explicit upwind, so dt is capped by transport alone (``plan_steps``).
+    ``_march`` over one split step: transport in x with speed drift_x (= v
+    for the shipped preset), transport in v with speed drift_v, then the
+    v-diffusion, an ``_euler_step`` of the generator along v per x row. Each
+    part is conservative with zero boundary flux. ``implicit=True`` makes the
+    v-diffusion a backward step; the transport sweeps stay explicit upwind,
+    so dt is capped by transport alone (``plan_steps``). By default about 50
+    steps are recorded.
 
     ``flux="centered"`` swaps the transport sweeps to a non-monotone centered
-    flux; it exists so the maximum-principle check can be shown to fail on a
-    scheme that deserves it.
+    flux, clamped at zero and renormalised every step; it exists so the
+    maximum-principle check can be shown to fail on a scheme that deserves it.
     """
     grid = field.grid
     speed_x, speed_v, a_vv = _kinetic_coeffs(field)
     hx, hv = grid.h
     u = _project_initial(grid, u0)
     steps, dt, cap = plan_steps(field, T, dt, implicit)
-    if record_every is None:
-        record_every = max(1, steps // 50)
-    if implicit:
-        solve = _backward_euler(0.0, a_vv, hv, dt)
+    diffuse = _euler_step(0.0, a_vv, hv, dt, implicit)
 
-    stamps = [0.0]
-    slices = [u.copy()]
-    for k in range(steps):
+    def step(u):
         u = _sweep(u, speed_x, hx, dt, axis=0, flux=flux)
-        u = _sweep(u, speed_v, hv, dt, axis=1, flux=flux)
-        if implicit:
-            u = solve(u)
-        elif a_vv.max() > 0:
-            au = a_vv * u
-            g = (au[:, 1:] - au[:, :-1]) / hv
-            u = u.copy()
-            u[:, :-1] += dt / hv * g
-            u[:, 1:] -= dt / hv * g
-        if flux == "upwind":
-            np.maximum(u, 0.0, out=u)
-        else:
+        u = diffuse(_sweep(u, speed_v, hv, dt, axis=1, flux=flux))
+        if flux == "centered":
             u = np.maximum(u, 0.0)
-            m = grid.cell_volume * u.sum()
-            u = u / m
-        if (k + 1) % record_every == 0 or k + 1 == steps:
-            stamps.append((k + 1) * dt)
-            slices.append(u.copy())
-    return _evolution(grid, stamps, slices, dt=float(dt), steps=steps,
-                      flux=flux, method="splitting_kinetic",
-                      implicit=implicit, cap=cap)
+            u = u / (grid.cell_volume * u.sum())
+        return u
+
+    return _march(grid, u, step, steps, dt,
+                  max(1, steps // 50) if record_every is None else record_every,
+                  flux=flux, method="splitting_kinetic", implicit=implicit,
+                  cap=cap)
 
 
 def max_principle_check(evolution: Law,

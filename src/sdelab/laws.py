@@ -35,6 +35,16 @@ def path_blocks(n_paths: int, n_stamps: int, positions: int | None = None):
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n_paths])]
 
 
+def _check_horizon(T: float = 1.0, record_every: int = 1) -> None:
+    """The path and PDE solvers' rule on a horizon and a recording cadence:
+    T > 0 (finite) and record_every a positive integer."""
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+        raise ValueError(
+            f"record_every must be a positive integer, got {record_every!r}")
+
+
 def _mass(grid: Grid, slices: np.ndarray) -> np.ndarray:
     return grid.cell_volume * slices.reshape(slices.shape[0], -1).sum(axis=1)
 

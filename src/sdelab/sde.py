@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CoefficientField, Grid
-from .laws import Law, path_blocks
+from .laws import Law, _check_horizon, path_blocks
 from .maxops import gradient_magnitude, maximal, maximal_modified
 from .report import Report
 
@@ -269,9 +269,10 @@ def stability_cap(field: CoefficientField) -> float:
 
 
 def _check_family(fields, x0, T: float, dt: float, n_paths: int, r: int,
-                  check_cap: bool = True):
+                  check_cap: bool = True, record_every: int = 1):
     """``simulate_family``'s checks that need no increments; returns the
     fields as a list, the step count, x0 as an array and whether per path."""
+    _check_horizon(T, record_every)
     fields = list(fields)
     if not fields or any(f.grid != fields[0].grid for f in fields):
         raise ValueError("a family needs one or more fields on one grid")
@@ -316,7 +317,8 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
     the two path halves step on two threads with identical results.
     """
     fields, n_steps, x0, per_path = _check_family(
-        fields, x0, T, store.dt, store.n_paths, store.r, check_cap)
+        fields, x0, T, store.dt, store.n_paths, store.r, check_cap,
+        record_every)
     if n_steps > store.n_steps:
         raise ValueError("store does not cover the horizon")
     grid = fields[0].grid
@@ -507,7 +509,8 @@ def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0,
     esup = np.zeros((k, k))
     se = np.zeros((k, k))
     eta = np.zeros((k, k))
-    laws = [Law.from_ensemble(e, law_grid) for e in ensembles]
+    # eta[n, m] reads the law of the coarser member n <= k - 2 only
+    laws = [Law.from_ensemble(e, law_grid) for e in ensembles[:-1]]
     T = float(ensembles[0].times[-1])
     for n in range(k):
         for m in range(n + 1, k):

@@ -1,0 +1,174 @@
+"""The finite-volume core of the forward solvers against an independent
+flux-form oracle; horizon and cadence checks; the laws cauchy_diagnostic
+builds."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from sdelab import (
+    BrownianStore,
+    CoefficientField,
+    Law,
+    cauchy_diagnostic,
+    cfl_cap_1d,
+    cfl_cap_kinetic,
+    make_grid,
+    preset_field,
+    simulate_ensemble,
+    simulate_family,
+    solve_fp_1d,
+    solve_kinetic,
+)
+
+# -- oracle: the explicit steps in flux form, written out here ---------------
+
+
+def _update(u, phi, h, dt):
+    """u after the interface fluxes phi (interior interfaces, along the
+    last axis): out of the left node, into the right one."""
+    out = u.copy()
+    out[..., :-1] -= dt / h * phi
+    out[..., 1:] += dt / h * phi
+    return out
+
+
+def _transport(u, speed, flux):
+    """Upwind or centered interface fluxes of the interface-averaged speed."""
+    s_half = 0.5 * (speed[..., :-1] + speed[..., 1:])
+    if flux == "upwind":
+        return (np.maximum(s_half, 0.0) * u[..., :-1]
+                + np.minimum(s_half, 0.0) * u[..., 1:])
+    return s_half * 0.5 * (u[..., :-1] + u[..., 1:])
+
+
+def _diffusion(u, a, h):
+    """The flux -(a u)'/h of the diffusion term d^2/dx^2(a u)."""
+    au = a * u
+    return -(au[..., 1:] - au[..., :-1]) / h
+
+
+def _fp_step(F, a, h, dt, u):
+    """One explicit 1-D step: upwind minus (a u)'/h in one update, clamped."""
+    phi = _transport(u, F, "upwind") + _diffusion(u, a, h)
+    return np.maximum(_update(u, phi, h, dt), 0.0)
+
+
+def _kinetic_step(field, dt, u, flux):
+    """One explicit splitting step: x sweep, v sweep, v-diffusion, clamp
+    (and renormalisation for the centered flux)."""
+    (hx, hv), vol = field.grid.h, field.grid.cell_volume
+    u = _update(u.T, _transport(u.T, field.drift[..., 0].T, flux),
+                hx, dt).T
+    u = _update(u, _transport(u, field.drift[..., 1], flux), hv, dt)
+    u = _update(u, _diffusion(u, field.a[..., 1, 1], hv), hv, dt)
+    u = np.maximum(u, 0.0)
+    return u / (vol * u.sum()) if flux == "centered" else u
+
+
+_coeff = st.floats(-5.0, 5.0, allow_subnormal=False)
+_diff = st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False))
+_dens = st.floats(0.1, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 30).flatmap(lambda m: st.tuples(
+    hnp.arrays(float, m + 1, elements=_coeff),
+    hnp.arrays(float, m + 1, elements=_diff),
+    hnp.arrays(float, m + 1, elements=_dens))), st.floats(0.5, 20.0))
+def test_explicit_fp_step_matches_the_flux_form_oracle(data, length):
+    F, a, u = data
+    assume(np.abs(F).max() > 0 or a.max() > 0)
+    grid = make_grid(1, (0.0, length), F.size - 1)
+    field = CoefficientField(grid, F[:, None], np.sqrt(2.0 * a)[:, None, None])
+    dt = 0.25 * cfl_cap_1d(field)
+    u0, u1 = solve_fp_1d(field, u, T=dt, dt=dt).density
+    ref = _fp_step(field.drift[:, 0], field.a[:, 0, 0], grid.h[0], dt, u0)
+    assert np.abs(u1 - ref).max() <= 1e-13 * u0.max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 20).flatmap(lambda m: st.tuples(
+    hnp.arrays(float, (m + 1, m + 1, 2), elements=_coeff),
+    hnp.arrays(float, (m + 1, m + 1), elements=_diff),
+    hnp.arrays(float, (m + 1, m + 1), elements=_dens))),
+    st.sampled_from(["upwind", "centered"]))
+def test_explicit_kinetic_step_matches_the_flux_form_oracle(data, flux):
+    drift, a_vv, u = data
+    assume(np.abs(drift).max() > 0 or a_vv.max() > 0)
+    m = a_vv.shape[0] - 1
+    grid = make_grid(2, ((-2.0, 2.0), (-3.0, 3.0)), m)
+    sigma = np.zeros((m + 1, m + 1, 2, 1))
+    sigma[..., 1, 0] = np.sqrt(2.0 * a_vv)  # noise in v only
+    field = CoefficientField(grid, drift, sigma)
+    dt = 0.25 * cfl_cap_kinetic(field)
+    u0, u1 = solve_kinetic(field, u, T=dt, dt=dt, flux=flux).density
+    assert np.abs(u1 - _kinetic_step(field, dt, u0, flux)).max() \
+        <= 1e-13 * u0.max()
+
+
+# -- horizon and recording cadence -------------------------------------------
+
+
+def _path_case():
+    grid = make_grid(1, (-4.0, 4.0), 64)
+    return preset_field("ou", {}, grid), BrownianStore.generate(7, 8, 16, 1 / 128)
+
+
+def _pde_cases():
+    g1 = make_grid(1, (-4.0, 4.0), 64)
+    g2 = make_grid(2, ((-2.0, 2.0), (-3.0, 3.0)), 16)
+    kin = preset_field("kinetic_langevin", {"beta": 1.0, "temp": 0.5}, g2)
+    xx, vv = g2.meshgrid()
+    return [(solve_fp_1d, preset_field("ou", {}, g1),
+             np.exp(-0.5 * g1.nodes(0) ** 2)),
+            (solve_kinetic, kin, np.exp(-xx * xx - vv * vv))]
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+def test_bad_horizon_is_rejected_by_name(T):
+    ou, store = _path_case()
+    with pytest.raises(ValueError, match="^T must be positive"):
+        simulate_ensemble(ou, 0.5, T, store)
+    with pytest.raises(ValueError, match="^T must be positive"):
+        simulate_family([ou, ou], 0.5, T, store)
+    for solve, field, u0 in _pde_cases():
+        with pytest.raises(ValueError, match="^T must be positive"):
+            solve(field, u0, T)
+        with pytest.raises(ValueError, match="^T must be positive"):
+            solve(field, u0, T, implicit=True)
+
+
+@pytest.mark.parametrize("every", [0, -1, 2.5])
+def test_bad_record_cadence_is_rejected_by_name(every):
+    ou, store = _path_case()
+    with pytest.raises(ValueError, match="^record_every must be a positive"):
+        simulate_ensemble(ou, 0.5, 8 / 128, store, record_every=every)
+    with pytest.raises(ValueError, match="^record_every must be a positive"):
+        simulate_family([ou, ou], 0.5, 8 / 128, store, record_every=every)
+    for solve, field, u0 in _pde_cases():
+        with pytest.raises(ValueError, match="^record_every must be a positive"):
+            solve(field, u0, 0.05, record_every=every)
+
+
+# -- cauchy_diagnostic's laws ------------------------------------------------
+
+
+def test_cauchy_diagnostic_builds_the_laws_it_reads(monkeypatch):
+    """eta[n, m] reads the law of member n < m only, so the finest member's
+    histogram is never built."""
+    ou, store = _path_case()
+    family = simulate_family([ou] * 5, 0.5, 16 / 128, store, record_every=4)
+    built = []
+    original = Law.from_ensemble.__func__
+
+    def counting(cls, ensemble, *args, **kwargs):
+        built.append(ensemble)
+        return original(cls, ensemble, *args, **kwargs)
+
+    monkeypatch.setattr(Law, "from_ensemble", classmethod(counting))
+    cauchy_diagnostic(family)
+    assert len(built) == len(family) - 1
+    assert all(b is e for b, e in zip(built, family[:-1]))
