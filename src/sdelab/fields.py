@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .report import write_csv
 
@@ -59,10 +58,6 @@ class Grid:
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*(self.nodes(a) for a in range(self.d)), indexing="ij"))
-
-    def extension_mode(self, axis: int = 0) -> str:
-        """ndimage boundary mode implementing the extension rule."""
-        return "wrap" if self.periodic[axis] else "nearest"
 
     def pad(self, values: np.ndarray, halo: Sequence[int]) -> np.ndarray:
         """Extend values by halo[a] nodes at both ends of grid axis a.
@@ -328,6 +323,7 @@ def mollify_array(values: np.ndarray, grid: Grid, delta: float) -> np.ndarray:
 
     Trailing component axes (beyond grid.d) are smoothed independently.
     """
+    from scipy import ndimage
     moll = Mollifier(delta)
     values = np.asarray(values, dtype=float)
     w = moll.taps_1d(grid.h[0]) if grid.d == 1 else moll.taps_radial(grid.h)

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as splinalg
 
 from .fields import CoefficientField, Grid
 from .laws import Law, _check_horizon
@@ -190,6 +188,7 @@ def _fv_bands(F, a, h: float):
 def _fv_generator(F, a, h: float):
     """``_fv_bands`` as one sparse matrix, block-tridiagonal over the lines
     in C order and acting on ``u.reshape(-1)``; every column sums to zero."""
+    from scipy import sparse
     lower, diag, upper = _fv_bands(F, a, h)
     return sparse.diags_array(
         [lower.reshape(-1)[1:], diag.reshape(-1), upper.reshape(-1)[:-1]],
@@ -201,6 +200,8 @@ def _euler_step(F, a, h: float, dt: float, implicit: bool):
     shape of ``a``. Forward: v = u + dt A u from the bands. Backward: the
     solve of (I - dt A) v = u, with I - dt A factored once."""
     if implicit:
+        from scipy import sparse
+        from scipy.sparse import linalg as splinalg
         A = _fv_generator(F, a, h)
         lu = splinalg.splu((sparse.eye_array(A.shape[0]) - dt * A).tocsc(),
                            permc_spec="NATURAL")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import Grid
 from .report import write_csv
@@ -183,6 +182,7 @@ class Law:
         slices = counts / (counts.sum(axis=1, keepdims=True) * grid.cell_volume)
         slices = slices.reshape((nt,) + grid.shape)
         if bandwidth is not None:
+            from scipy import ndimage
             for ax in range(grid.d):
                 slices = ndimage.gaussian_filter1d(
                     slices, bandwidth / grid.h[ax], axis=1 + ax, mode="nearest"
@@ -200,6 +200,7 @@ class Law:
 
     def smooth(self, delta: float) -> "Law":
         """Heat-kernel smoothing at scale delta (weak-* probe sequences)."""
+        from scipy import ndimage
         sig = [delta / hi for hi in self.grid.h]
         axes = list(range(1, 1 + self.grid.d))
         out = self.density

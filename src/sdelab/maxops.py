@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import Grid
 
@@ -83,8 +82,12 @@ def _disc_mask(grid: Grid, r: float) -> np.ndarray:
 
 def _ball_average(f: np.ndarray, grid: Grid, r: float) -> np.ndarray:
     if grid.d == 1:
+        # A running sum in ndimage.uniform_filter1d's order, bit for bit: the
+        # first window summed in sequence, then one difference per shift.
         size = 2 * int(r / grid.h[0]) + 1
-        return ndimage.uniform_filter1d(f, size, mode=grid.extension_mode(0))
+        ext = grid.pad(f, (size // 2,))
+        first = np.cumsum(ext[:size])[-1:]
+        return np.cumsum(np.concatenate([first, ext[size:] - ext[:-size]])) / size
     # Row spans of one cumulative sum along axis 0 (a summed-area table in
     # one direction, Crow 1984): mask column b covers rows a0..a1, which add
     # up to C[i+a1+1, j+b] - C[i+a0, j+b]. O(n^2 r) work, O(n^2) memory.
@@ -106,12 +109,15 @@ def maximal(f: np.ndarray, grid: Grid,
             schedule: RadiusSchedule | None = None) -> np.ndarray:
     """Discrete maximal function: max over scheduled radii of ball averages.
 
-    f must be nonnegative (use sites feed |grad sigma| and friends); negative
-    values are a caller bug and are rejected.
+    f must be finite and nonnegative (use sites feed |grad sigma| and
+    friends); NaN, infinite or negative values are a caller bug and are
+    rejected.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise ValueError(f"field shape {f.shape} != grid shape {grid.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("maximal operator input must be finite")
     if np.any(f < 0):
         raise ValueError("maximal operator input must be nonnegative")
     if schedule is None:
@@ -158,12 +164,16 @@ def maximal_modified(g: np.ndarray, grid: Grid, L: float) -> np.ndarray:
 
     Near-singular kernel cells use exact (1-D) or refined/analytic (2-D) cell
     integrals; the plain midpoint rule would diverge under grid refinement.
+    g must be finite and nonnegative; a NaN would otherwise read as below the
+    threshold and vanish.
     """
     if L < 1.0:
         raise ValueError("L must be >= 1")
     g = np.asarray(g, dtype=float)
     if g.shape != grid.shape:
         raise ValueError(f"field shape {g.shape} != grid shape {grid.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("modified maximal operator input must be finite")
     if np.any(g < 0):
         raise ValueError("modified maximal operator input must be nonnegative")
     thr = np.sqrt(np.log(L))
@@ -181,6 +191,7 @@ def maximal_modified(g: np.ndarray, grid: Grid, L: float) -> np.ndarray:
         w = np.clip(anti(hi) - anti(lo), 0.0, None)
         integral = np.convolve(grid.pad(gt, (k,)), w[::-1], mode="valid")
     else:
+        from scipy import ndimage
         w = _ml_kernel_2d(grid, L)
         ki, kj = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
         integral = ndimage.correlate(grid.pad(gt, (ki, kj)), w, mode="constant")[

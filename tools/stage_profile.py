@@ -4,11 +4,13 @@ Criterion 04 (``tests/test_acceptance.py``) repeats one workload 20 times:
 the OU preset on [-6, 6] with 1024 cells, a Brownian store of N paths x 256
 steps (N = 100 000), Euler-Maruyama from x0 = 1 recorded every 4 steps, the
 histogram law and the quadrature and pathwise H1 norms. This script runs
-that repetition ``--reps`` times in one process and prints one JSON line per
-repetition: the seconds of each stage (``noise``, ``euler``, ``histogram``,
-``pathwise_h1``) by ``time.perf_counter`` and the process's peak RSS so far
-in MB (``resource.getrusage``). The first line's ``peak_rss_mb`` is the
-peak of one repetition::
+that repetition ``--reps`` times in one process. It first prints one JSON
+line on the import: the seconds of ``import sdelab``, the process's peak RSS
+right after it and the scipy modules it loaded. Then it prints one JSON line
+per repetition: the seconds of each stage (``noise``, ``euler``,
+``histogram``, ``pathwise_h1``) by ``time.perf_counter`` and the process's
+peak RSS so far in MB (``resource.getrusage``). The first repetition's
+``peak_rss_mb`` is the peak of one repetition::
 
     python tools/stage_profile.py --paths 100000 --reps 3
     python tools/stage_profile.py --src /path/to/other/src
@@ -27,6 +29,10 @@ import time
 from pathlib import Path
 
 
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path,
@@ -40,7 +46,14 @@ def main(argv=None) -> int:
     if args.paths < 2 or args.reps < 1:
         parser.error("need --paths >= 2 and --reps >= 1")
     sys.path.insert(0, str(args.src.resolve()))
+    t = time.perf_counter()
     import sdelab as sl
+    import_s = time.perf_counter() - t
+    print(json.dumps({"import_s": round(import_s, 4),
+                      "peak_rss_mb": round(_peak_rss_mb(), 1),
+                      "scipy_modules": sorted(
+                          m for m in sys.modules if m.split(".")[0] == "scipy")}),
+          flush=True)
 
     grid = sl.make_grid(1, (-6.0, 6.0), 1024)
     field = sl.preset_field("ou", {}, grid)
@@ -63,7 +76,7 @@ def main(argv=None) -> int:
         stages["pathwise_h1"] = time.perf_counter() - t
         z = abs(quad.value - path.value) / path.mc_stderr
         del store, ens, law
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        peak = _peak_rss_mb()
         print(json.dumps({"rep": rep, "paths": args.paths,
                           "stages_s": {k: round(v, 4) for k, v in stages.items()},
                           "total_s": round(sum(stages.values()), 4),
