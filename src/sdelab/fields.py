@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 MIN_CELLS = 8
+# Bytes of one output block of _correlate_footprint, chosen by measurement
+# (a block and its product buffer stay in cache); not a setting.
+FOOTPRINT_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -318,23 +321,76 @@ class Mollifier:
         return w / total
 
 
+# The two correlation kernels below read an array already extended by the
+# taps' half-width (Grid.pad, or an edge pad) and return the inner region.
+# Each repeats scipy.ndimage's floating-point operations in its order, so
+# their output equals ndimage's bit for bit (tests/test_correlate.py).
+
+def _correlate_symmetric(ext: np.ndarray, w: np.ndarray,
+                         axis: int = 0) -> np.ndarray:
+    """ndimage.correlate1d's symmetric branch along ``axis``.
+
+    out = x[i] w[c], then out += (x[i-j] + x[i+j]) w[c-j] for j = c down
+    to 1, where c = len(w) // 2 and w == w[::-1].
+    """
+    c = w.size // 2
+    if w.size % 2 == 0 or not np.array_equal(w, w[::-1]):
+        raise ValueError("symmetric correlation needs odd symmetric taps")
+    n = ext.shape[axis] - 2 * c
+
+    def shifted(lo):
+        idx = [slice(None)] * ext.ndim
+        idx[axis] = slice(lo, lo + n)
+        return ext[tuple(idx)]
+
+    out = shifted(c) * w[c]
+    pair = np.empty_like(out)
+    for j in range(c, 0, -1):
+        np.add(shifted(c - j), shifted(c + j), out=pair)
+        pair *= w[c - j]
+        out += pair
+    return out
+
+
+def _correlate_footprint(ext: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """ndimage.correlate with 2-D taps over the leading two axes of ``ext``.
+
+    Starts from 0.0 and adds x w[a, b] over the taps with |w| > DBL_EPSILON
+    in C order (ndimage's footprint); trailing axes are carried along. The
+    output is walked in blocks of rows that stay in cache across the taps.
+    """
+    n0, n1 = (e - s + 1 for e, s in zip(ext.shape, w.shape))
+    out = np.zeros((n0, n1) + ext.shape[2:])
+    keep = np.abs(w) > np.finfo(float).eps
+    taps = [(a, b, wab) for (a, b), wab in
+            zip(np.argwhere(keep).tolist(), w[keep].tolist())]
+    rows = min(n0, max(1, FOOTPRINT_BLOCK // out[0].nbytes))
+    product = np.empty((rows,) + out.shape[1:])
+    for r0 in range(0, n0, rows):
+        block = out[r0:r0 + rows]
+        buf = product[:block.shape[0]]
+        r1 = r0 + block.shape[0]
+        for a, b, wab in taps:
+            np.multiply(ext[r0 + a:r1 + a, b:b + n1], wab, out=buf)
+            block += buf
+    return out
+
+
 def mollify_array(values: np.ndarray, grid: Grid, delta: float) -> np.ndarray:
     """Convolve node values with the unit-mass bump at scale delta.
 
     Trailing component axes (beyond grid.d) are smoothed independently.
     """
-    from scipy import ndimage
     moll = Mollifier(delta)
     values = np.asarray(values, dtype=float)
     w = moll.taps_1d(grid.h[0]) if grid.d == 1 else moll.taps_radial(grid.h)
     halo = [(s - 1) // 2 for s in w.shape]
     padded = grid.pad(values.reshape(grid.shape + (-1,)), halo)
     if grid.d == 1:
-        out = ndimage.correlate1d(padded, w, axis=0, mode="constant")
+        out = _correlate_symmetric(padded, w)
     else:
-        out = ndimage.correlate(padded, w[..., None], mode="constant")
-    inner = tuple(slice(k, k + n) for k, n in zip(halo, grid.shape))
-    return out[inner].reshape(values.shape)
+        out = _correlate_footprint(padded, w)
+    return out.reshape(values.shape)
 
 
 def mollify(field: CoefficientField, delta: float) -> CoefficientField:

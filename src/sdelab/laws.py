@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Grid
+from .fields import Grid, _correlate_symmetric
 from .report import write_csv
 
 __all__ = ["Law"]
@@ -22,6 +22,19 @@ MASS_TOL = 1e-10
 # Path x stamp positions per block of a path-block walk, chosen by
 # measurement so that a block's temporaries stay in cache; not a setting.
 PATH_BLOCK = 2 ** 15
+
+
+def _gaussian_filter(values: np.ndarray, sigma: float, axis: int) -> np.ndarray:
+    """ndimage.gaussian_filter1d(values, sigma, axis, mode="nearest"), bit
+    for bit: scipy's taps (radius int(4 sigma + 0.5), exp(-x^2 / 2 sigma^2)
+    over their sum, reversed) on values extended by their edge value."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    width = [(0, 0)] * values.ndim
+    width[axis] = (radius, radius)
+    return _correlate_symmetric(np.pad(values, width, mode="edge"),
+                                (phi / phi.sum())[::-1], axis)
 
 
 def path_blocks(n_paths: int, n_stamps: int, positions: int | None = None):
@@ -182,11 +195,8 @@ class Law:
         slices = counts / (counts.sum(axis=1, keepdims=True) * grid.cell_volume)
         slices = slices.reshape((nt,) + grid.shape)
         if bandwidth is not None:
-            from scipy import ndimage
             for ax in range(grid.d):
-                slices = ndimage.gaussian_filter1d(
-                    slices, bandwidth / grid.h[ax], axis=1 + ax, mode="nearest"
-                )
+                slices = _gaussian_filter(slices, bandwidth / grid.h[ax], 1 + ax)
         return cls(grid, ensemble.times, cls._normalize(grid, slices))
 
     @classmethod
@@ -200,12 +210,9 @@ class Law:
 
     def smooth(self, delta: float) -> "Law":
         """Heat-kernel smoothing at scale delta (weak-* probe sequences)."""
-        from scipy import ndimage
-        sig = [delta / hi for hi in self.grid.h]
-        axes = list(range(1, 1 + self.grid.d))
         out = self.density
-        for ax, s in zip(axes, sig):
-            out = ndimage.gaussian_filter1d(out, s, axis=ax, mode="nearest")
+        for ax, hi in enumerate(self.grid.h):
+            out = _gaussian_filter(out, delta / hi, 1 + ax)
         return Law(self.grid, self.times, self._normalize(self.grid, out))
 
     def expectation(self, values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid
+from .fields import Grid, _correlate_footprint
 
 __all__ = [
     "RadiusSchedule",
@@ -191,12 +191,9 @@ def maximal_modified(g: np.ndarray, grid: Grid, L: float) -> np.ndarray:
         w = np.clip(anti(hi) - anti(lo), 0.0, None)
         integral = np.convolve(grid.pad(gt, (k,)), w[::-1], mode="valid")
     else:
-        from scipy import ndimage
         w = _ml_kernel_2d(grid, L)
-        ki, kj = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
-        integral = ndimage.correlate(grid.pad(gt, (ki, kj)), w, mode="constant")[
-            ki:ki + grid.shape[0], kj:kj + grid.shape[1]
-        ]
+        halo = [(s - 1) // 2 for s in w.shape]
+        integral = _correlate_footprint(grid.pad(gt, halo), w)
     return thr + integral
 
 

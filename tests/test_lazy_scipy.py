@@ -114,3 +114,51 @@ def test_the_scipy_calls_work_in_a_fresh_process():
         "print(law.scheme['implicit'], np.allclose(law.mass(), 1.0),\n"
         "      np.allclose(kde.mass(), 1.0), bool(np.all(ml > 3.0)))\n")
     assert _fresh(code) == "True True True True"
+
+
+# -- the correlations run in numpy: these paths load no scipy ------------------
+
+def test_refinement_family_call_chain_loads_no_scipy_module():
+    """Criteria 05-07's chain: a mollified family, its coupled walk and the
+    Cauchy, Q and L_eps diagnostics."""
+    code = (
+        "import sys, sdelab as sl\n"
+        "grid = sl.make_grid(1, (-4.0, 4.0), 4096)\n"
+        "base = sl.preset_field('sqrt_diffusion', {'kappa': 0.0}, grid)\n"
+        "fields = [sl.mollify(base, 2.0 ** -k) for k in range(4, 9)]\n"
+        "store = sl.BrownianStore.generate(7, 200, 1024, 2.0 ** -10)\n"
+        "ens = sl.simulate_family(fields, 0.0, 1.0, store, record_every=32)\n"
+        "sl.cauchy_diagnostic(ens, p=2.0)\n"
+        "sl.q_functional(ens[-2], ens[-1], 1e-2)\n"
+        "sl.l_eps_functional(ens[-2], ens[-1], 1e-2)\n"
+        + _SCIPY)
+    assert _fresh(code) == "[]"
+
+
+def test_maximal_modified_2d_loads_no_scipy_module():
+    code = (
+        "import sys, numpy as np, sdelab as sl\n"
+        "g2 = sl.make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), 32)\n"
+        "sl.maximal_modified(np.full(g2.shape, 3.0), g2, np.exp(4.0))\n"
+        + _SCIPY)
+    assert _fresh(code) == "[]"
+
+
+def test_kernel_density_and_smoothed_laws_load_no_scipy_module():
+    code = (
+        "import sys, sdelab as sl\n"
+        "grid = sl.make_grid(1, (-4.0, 4.0), 64)\n"
+        "store = sl.BrownianStore.generate(3, 200, 256, 1.0 / 256)\n"
+        "ens = sl.simulate_ensemble(sl.preset_field('ou', {}, grid), 0.0, 1.0,\n"
+        "                           store, record_every=8)\n"
+        "sl.Law.from_ensemble(ens, bandwidth=2 * grid.h[0]).smooth(0.25)\n"
+        + _SCIPY)
+    assert _fresh(code) == "[]"
+
+
+def test_thm_1d_convergence_run_loads_no_scipy_module(tmp_path):
+    code = (
+        "import sys, sdelab as sl\n"
+        f"sl.run_scenario({{'scenario': 'thm_1d_convergence'}}, out_dir={str(tmp_path)!r})\n"
+        + _SCIPY)
+    assert _fresh(code) == "[]"

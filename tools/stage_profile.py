@@ -6,11 +6,15 @@ steps (N = 100 000), Euler-Maruyama from x0 = 1 recorded every 4 steps, the
 histogram law and the quadrature and pathwise H1 norms. This script runs
 that repetition ``--reps`` times in one process. It first prints one JSON
 line on the import: the seconds of ``import sdelab``, the process's peak RSS
-right after it and the scipy modules it loaded. Then it prints one JSON line
-per repetition: the seconds of each stage (``noise``, ``euler``,
-``histogram``, ``pathwise_h1``) by ``time.perf_counter`` and the process's
-peak RSS so far in MB (``resource.getrusage``). The first repetition's
-``peak_rss_mb`` is the peak of one repetition::
+right after it and the scipy modules it loaded. A second line does the same
+for the set-up of the criteria 05-07 fixture, the first ``mollify`` calls of
+the process: the six scales delta = 2^-4 ... 2^-9 of the ``sqrt_diffusion``
+preset on 8192 cells, with the first call's seconds and the six calls' sum.
+Then it prints one JSON line per repetition: the seconds of each stage
+(``noise``, ``euler``, ``histogram``, ``pathwise_h1``) by
+``time.perf_counter`` and the process's peak RSS so far in MB
+(``resource.getrusage``). The first repetition's ``peak_rss_mb`` is the
+peak of one repetition::
 
     python tools/stage_profile.py --paths 100000 --reps 3
     python tools/stage_profile.py --src /path/to/other/src
@@ -33,6 +37,10 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _scipy_modules() -> list[str]:
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path,
@@ -51,9 +59,20 @@ def main(argv=None) -> int:
     import_s = time.perf_counter() - t
     print(json.dumps({"import_s": round(import_s, 4),
                       "peak_rss_mb": round(_peak_rss_mb(), 1),
-                      "scipy_modules": sorted(
-                          m for m in sys.modules if m.split(".")[0] == "scipy")}),
-          flush=True)
+                      "scipy_modules": _scipy_modules()}), flush=True)
+
+    grid = sl.make_grid(1, (-4.0, 4.0), 8192)
+    base = sl.preset_field("sqrt_diffusion", {"kappa": 0.0}, grid)
+    calls = []
+    for k in range(4, 10):
+        t = time.perf_counter()
+        sl.mollify(base, 2.0 ** -k)
+        calls.append(time.perf_counter() - t)
+    print(json.dumps({"setup": "mollify_family",
+                      "first_mollify_s": round(calls[0], 4),
+                      "mollify_s": round(sum(calls), 4),
+                      "peak_rss_mb": round(_peak_rss_mb(), 1),
+                      "scipy_modules": _scipy_modules()}), flush=True)
 
     grid = sl.make_grid(1, (-6.0, 6.0), 1024)
     field = sl.preset_field("ou", {}, grid)
