@@ -5,14 +5,15 @@ conservative finite-volume scheme (upwind advection, flux-form diffusion).
 Kinetic phase-space equation on a 2-D (x, v) grid with transport in both
 coordinates and diffusion in v only, solved by dimensional splitting.
 
-One description of the operator, the bands of the finite-volume generator A
-(``_fv_bands``), and one step loop, ``_march``. ``_euler_step`` steps
-du/dt = A u forward, u + dt A u, under the CFL cap min(h/(2 sup|speed|),
+One description of the operator, its interface fluxes (``_fv_fluxes``),
+which give the bands of the finite-volume generator A (``_fv_bands``), and
+one step loop, ``_march``. ``_euler_step`` steps du/dt = A u forward, as the
+fluxes' flow across each interface, under the CFL cap min(h/(2 sup|speed|),
 h^2/(4 sup a)) by default, or backward with ``implicit=True`` (I - dt A
 factored once; an M-matrix, as A has nonnegative off-diagonals and zero
 column sums, so positivity and mass hold for any dt, and the default step
-is 0.9 times the transport cap h/(2 sup|speed|)). The kinetic solver steps
-its v-diffusion so, between explicit upwind transport sweeps.
+is 0.9 times the transport cap h/(2 sup|speed|)). The kinetic split step is
+three: explicit transport sweeps in x and v (a = 0), then the v-diffusion.
 
 Both solvers return a ``Law`` whose ``scheme`` records the numerics. Monitors:
 pointwise stationary bound, energy inequality for int u^alpha between
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CoefficientField, Grid
-from .laws import Law, _check_horizon
+from .laws import Law, _check_horizon, _user_steps
 from .report import Report, Serialisable, write_csv
 
 __all__ = [
@@ -151,34 +152,35 @@ def plan_steps(field: CoefficientField, T: float, dt: float | None = None,
     return _user_steps(T, dt, limit), dt, cap
 
 
-def _user_steps(T: float, dt: float, cap: float) -> int:
-    """Step count of a given dt over [0, T]; the user-dt rule of both the
-    PDE and the SDE solvers: dt must not exceed cap (to a relative 1e-12)
-    and must divide T (to 1e-9 max(1, T))."""
-    if dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt={dt:.3e} exceeds the stability cap {cap:.3e}")
-    steps = int(round(T / dt))
-    if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("dt must divide the horizon T")
-    return steps
+def _fv_fluxes(F, a, h: float, flux: str = "upwind"):
+    """(right, left) along the last axis: the flux from node i to node i+1
+    is phi_i = right_i u_i + left_i u_{i+1}, du_i/dt = (phi_{i-1} - phi_i)/h
+    with zero flux through the boundary; ``F`` (node speeds, F_half on the
+    interfaces) and ``a`` broadcast to each other. Upwind: right =
+    max(F_half, 0) + a_i/h, left = min(F_half, 0) - a_{i+1}/h, advection
+    plus the flux -(a u)'/h of d^2/dx^2(a u). Centered, for the transport
+    sweeps (a = 0): both are F_half/2."""
+    F, a = np.broadcast_arrays(np.asarray(F, float), np.asarray(a, float))
+    F_half = 0.5 * (F[..., :-1] + F[..., 1:])
+    if flux == "upwind":  # in place, so the fluxes keep F's memory order
+        right, left = np.maximum(F_half, 0.0), np.minimum(F_half, 0.0)
+        right += a[..., :-1] / h
+        left -= a[..., 1:] / h
+        return right, left
+    if flux == "centered":
+        return F_half * 0.5, F_half * 0.5
+    raise ValueError(f"unknown flux {flux!r}")
 
 
 def _fv_bands(F, a, h: float):
-    """Bands of the finite-volume generator A, du/dt = A u, along the last
-    axis: (A u)_i = lower_i u_{i-1} + diag_i u_i + upper_i u_{i+1}.
-
-    Upwind advection with node speeds F averaged onto interfaces, flux-form
-    diffusion d/dx(a u), zero flux through the boundary. ``F`` (broadcast to
-    ``a``), ``a`` and each band have shape (..., n), one line per leading
-    index. Off-diagonals are nonnegative (lower_0 = upper_{n-1} = 0) and the
-    diagonal is minus its column's off-diagonal sum."""
-    a = np.asarray(a, dtype=float)
-    F = np.broadcast_to(np.asarray(F, dtype=float), a.shape)
-    F_half = 0.5 * (F[..., :-1] + F[..., 1:])
-    zero = np.zeros(a.shape[:-1] + (1,))
+    """Bands of the generator A of the upwind ``_fv_fluxes``, du/dt = A u:
+    (A u)_i = lower_i u_{i-1} + diag_i u_i + upper_i u_{i+1}, shape (..., n).
+    Off-diagonals are nonnegative (lower_0 = upper_{n-1} = 0); the diagonal
+    is minus its column's off-diagonal sum."""
+    right, left = _fv_fluxes(F, a, h)
     # A[i+1, i], out of node i rightward; A[i, i+1], out of node i+1 leftward
-    right = (np.maximum(F_half, 0.0) + a[..., :-1] / h) / h
-    left = (a[..., 1:] / h - np.minimum(F_half, 0.0)) / h
+    right, left = right / h, -left / h
+    zero = np.zeros(right.shape[:-1] + (1,))
     diag = -(np.concatenate([zero, left], axis=-1)
              + np.concatenate([right, zero], axis=-1))
     return (np.concatenate([zero, right], axis=-1), diag,
@@ -195,10 +197,11 @@ def _fv_generator(F, a, h: float):
         offsets=[-1, 0, 1], format="csc")
 
 
-def _euler_step(F, a, h: float, dt: float, implicit: bool):
-    """One Euler step u -> v of du/dt = A u (``_fv_bands``), u and v of the
-    shape of ``a``. Forward: v = u + dt A u from the bands. Backward: the
-    solve of (I - dt A) v = u, with I - dt A factored once."""
+def _euler_step(F, a, h: float, dt: float, implicit: bool, flux="upwind"):
+    """One Euler step u -> v of du/dt = A u (``_fv_fluxes``) along the last
+    axis of u. Forward: the flow dt/h phi_i leaves node i and enters node
+    i+1, v in u's memory order (a step of a transposed view copies nothing
+    across). Backward (upwind): solve (I - dt A) v = u, I - dt A factored once."""
     if implicit:
         from scipy import sparse
         from scipy.sparse import linalg as splinalg
@@ -206,14 +209,14 @@ def _euler_step(F, a, h: float, dt: float, implicit: bool):
         lu = splinalg.splu((sparse.eye_array(A.shape[0]) - dt * A).tocsc(),
                            permc_spec="NATURAL")
         return lambda u: lu.solve(u.reshape(-1)).reshape(u.shape)
-    lower, diag, upper = _fv_bands(F, a, h)
-    lower, upper = lower[..., 1:], upper[..., :-1]
+    right, left = _fv_fluxes(F, a, h, flux)
 
     def forward(u):
-        Au = diag * u
-        Au[..., 1:] += lower * u[..., :-1]
-        Au[..., :-1] += upper * u[..., 1:]
-        return u + dt * Au
+        flow = dt / h * (right * u[..., :-1] + left * u[..., 1:])
+        v = u.copy(order="K")
+        v[..., :-1] -= flow
+        v[..., 1:] += flow
+        return v
     return forward
 
 
@@ -362,62 +365,50 @@ def cfl_cap_kinetic(field: CoefficientField) -> float:
     return min(_caps_kinetic(field))
 
 
-def _sweep(u: np.ndarray, speed: np.ndarray, h: float, dt: float,
-           axis: int, flux: str) -> np.ndarray:
-    """Conservative transport sweep along one axis; zero boundary flux."""
-    if axis == 1:
-        return _sweep(u.T, speed.T, h, dt, 0, flux).T
-    s_half = 0.5 * (speed[:-1] + speed[1:])
-    if flux == "upwind":
-        phi = (np.maximum(s_half, 0.0) * u[:-1]
-               + np.minimum(s_half, 0.0) * u[1:])
-    elif flux == "centered":
-        phi = s_half * 0.5 * (u[:-1] + u[1:])
-    else:
-        raise ValueError(f"unknown flux {flux!r}")
-    out = u.copy()
-    out[:-1] -= dt / h * phi
-    out[1:] += dt / h * phi
-    return out
-
-
 def solve_kinetic(field: CoefficientField, u0, T: float,
                   dt: float | None = None, record_every: int | None = None,
                   flux: str = "upwind",
                   implicit: bool = False) -> Law:
     """Dimensional-splitting solve of the phase-space forward equation.
 
-    ``_march`` over one split step: transport in x with speed drift_x (= v
-    for the shipped preset), transport in v with speed drift_v, then the
-    v-diffusion, an ``_euler_step`` of the generator along v per x row. Each
-    part is conservative with zero boundary flux. ``implicit=True`` makes the
-    v-diffusion a backward step; the transport sweeps stay explicit upwind,
-    so dt is capped by transport alone (``plan_steps``). By default about 50
+    ``_march`` over one split step of three ``_euler_step``s, each
+    conservative with zero boundary flux: transport in x with speed drift_x
+    (= v for the shipped preset), transport in v with speed drift_v, then
+    the v-diffusion along v per x row. ``implicit=True`` makes the
+    v-diffusion a backward step; the transport sweeps stay explicit, so dt
+    is capped by transport alone (``plan_steps``). By default about 50
     steps are recorded.
 
     ``flux="centered"`` swaps the transport sweeps to a non-monotone centered
-    flux, clamped at zero and renormalised every step; it exists so the
-    maximum-principle check can be shown to fail on a scheme that deserves it.
+    flux, clamped at zero and renormalised every step (the mass removed is
+    ``scheme["renormalised_mass"]``), so that the maximum-principle check
+    can be shown to fail on a scheme that deserves it.
     """
     grid = field.grid
     speed_x, speed_v, a_vv = _kinetic_coeffs(field)
     hx, hv = grid.h
     u = _project_initial(grid, u0)
     steps, dt, cap = plan_steps(field, T, dt, implicit)
+    sweep_x = _euler_step(speed_x.T, 0.0, hx, dt, False, flux)
+    sweep_v = _euler_step(speed_v, 0.0, hv, dt, False, flux)
     diffuse = _euler_step(0.0, a_vv, hv, dt, implicit)
+    masses = []  # each centered step's mass after its clamp at zero
 
     def step(u):
-        u = _sweep(u, speed_x, hx, dt, axis=0, flux=flux)
-        u = diffuse(_sweep(u, speed_v, hv, dt, axis=1, flux=flux))
+        u = diffuse(sweep_v(sweep_x(u.T).T))
         if flux == "centered":
             u = np.maximum(u, 0.0)
-            u = u / (grid.cell_volume * u.sum())
+            masses.append(grid.cell_volume * u.sum())
+            u = u / masses[-1]
         return u
 
-    return _march(grid, u, step, steps, dt,
-                  max(1, steps // 50) if record_every is None else record_every,
-                  flux=flux, method="splitting_kinetic", implicit=implicit,
-                  cap=cap)
+    law = _march(grid, u, step, steps, dt,
+                 max(1, steps // 50) if record_every is None else record_every,
+                 flux=flux, method="splitting_kinetic", implicit=implicit,
+                 cap=cap)
+    if flux == "centered":
+        law.scheme["renormalised_mass"] = float(np.sum(masses) - len(masses))
+    return law
 
 
 def max_principle_check(evolution: Law,

@@ -57,6 +57,18 @@ def _check_horizon(T: float = 1.0, record_every: int = 1) -> None:
             f"record_every must be a positive integer, got {record_every!r}")
 
 
+def _user_steps(T: float, dt: float, cap: float) -> int:
+    """Step count of a given dt over [0, T]; the user-dt rule of both the
+    PDE and the SDE solvers: dt must not exceed cap (to a relative 1e-12)
+    and must divide T (to 1e-9 max(1, T))."""
+    if dt > cap * (1 + 1e-12):
+        raise ValueError(f"dt={dt:.3e} exceeds the stability cap {cap:.3e}")
+    steps = int(round(T / dt))
+    if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError("dt must divide the horizon T")
+    return steps
+
+
 def _mass(grid: Grid, slices: np.ndarray) -> np.ndarray:
     return grid.cell_volume * slices.reshape(slices.shape[0], -1).sum(axis=1)
 
@@ -65,7 +77,8 @@ def _mass(grid: Grid, slices: np.ndarray) -> np.ndarray:
 class Law:
     """``scheme`` is empty except on solver output: ``dt``, ``steps``,
     ``flux``, ``method``, ``implicit``, the explicit CFL ``cap``,
-    ``dt_over_cap``, ``mass_drift`` (what the clamps at zero added)."""
+    ``dt_over_cap``, ``mass_drift`` (what the clamps at zero added) and,
+    centered flux only, ``renormalised_mass`` (what renormalising removed)."""
 
     grid: Grid
     times: np.ndarray       # (nt,)

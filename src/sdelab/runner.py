@@ -25,7 +25,6 @@ from . import __version__
 from .fields import Grid, Mollifier, make_grid, mollify, preset_field
 from .fpe import (
     _project_initial,
-    _user_steps,
     cfl_cap_1d,
     cfl_cap_kinetic,
     energy_monitor,
@@ -35,7 +34,7 @@ from .fpe import (
     solve_kinetic,
     stationary_bound_check,
 )
-from .laws import Law
+from .laws import Law, _user_steps
 from .maxops import gradient_magnitude, half_derivative, maximal, maximal_modified
 from .norms import (
     PhiWeight,

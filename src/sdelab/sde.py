@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CoefficientField, Grid
-from .laws import Law, _check_horizon, path_blocks
+from .laws import Law, _check_horizon, _user_steps, path_blocks
 from .maxops import gradient_magnitude, maximal, maximal_modified
 from .report import Report
 
@@ -279,12 +279,8 @@ def _check_family(fields, x0, T: float, dt: float, n_paths: int, r: int,
     d = fields[0].grid.d
     if any(f.r != r for f in fields):
         raise ValueError("noise dimension mismatch between field and store")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("T must be a multiple of the store step")
     cap = min(stability_cap(f) for f in fields) if check_cap else np.inf
-    if dt > cap + 1e-15:
-        raise ValueError(f"dt={dt} exceeds the stability cap {cap}")
+    n_steps = _user_steps(T, dt, cap)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((), (d,), (n_paths,), (n_paths, d)):
         raise ValueError(f"initial spec shape {x0.shape} not understood")

@@ -170,6 +170,23 @@ def test_kinetic_centered_flux_breaks_max_principle():
     assert not max_principle_check(evo).passed
 
 
+def test_kinetic_centered_flux_records_the_mass_renormalising_removed():
+    """The clamps at zero add mass on the discontinuous bump, so the
+    per-step renormalisation removes some; only the centered flux records
+    it, and mass_drift stays at rounding level."""
+    grid = make_grid(2, ((-2.0, 2.0), (-3.0, 3.0)), 128)
+    field = preset_field("kinetic_langevin", {"beta": 1.0, "temp": 0.0}, grid)
+    xx, vv = grid.meshgrid()
+    u0 = ((np.abs(xx + 0.5) < 0.3) & (np.abs(vv) < 1.0)).astype(float)
+    cap = cfl_cap_kinetic(field)
+    steps = int(np.ceil(0.2 / (0.9 * cap)))
+    evo = solve_kinetic(field, u0, T=0.2, dt=0.2 / steps, flux="centered")
+    assert evo.scheme["renormalised_mass"] > 0
+    assert abs(evo.scheme["mass_drift"]) < 1e-12
+    upwind = solve_kinetic(field, u0, T=0.2, dt=0.2 / steps)
+    assert "renormalised_mass" not in upwind.scheme
+
+
 def test_kinetic_requires_v_only_diffusion(grid2d):
     field = preset_field("ou", {}, grid2d)
     with pytest.raises(ValueError):

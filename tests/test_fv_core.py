@@ -1,6 +1,8 @@
 """The finite-volume core of the forward solvers against an independent
-flux-form oracle; horizon and cadence checks; the laws cauchy_diagnostic
-builds."""
+flux-form oracle and against the transport sweep and band formulas it
+replaced; horizon and cadence checks; the laws cauchy_diagnostic builds."""
+
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from sdelab import (
     solve_fp_1d,
     solve_kinetic,
 )
+from sdelab.fpe import _euler_step, _fv_bands
 
 # -- oracle: the explicit steps in flux form, written out here ---------------
 
@@ -109,6 +112,80 @@ def test_explicit_kinetic_step_matches_the_flux_form_oracle(data, flux):
         <= 1e-13 * u0.max()
 
 
+# -- one interface flux: the kinetic sweeps and the bands, pinned ------------
+
+
+def _sweep(u, speed, h, dt, axis):
+    """The upwind transport sweep the kinetic solver used before its sweeps
+    became ``_euler_step``s, written out here."""
+    if axis == 1:
+        return _sweep(u.T, speed.T, h, dt, 0).T
+    s_half = 0.5 * (speed[:-1] + speed[1:])
+    phi = np.maximum(s_half, 0.0) * u[:-1] + np.minimum(s_half, 0.0) * u[1:]
+    out = u.copy()
+    out[:-1] -= dt / h * phi
+    out[1:] += dt / h * phi
+    return out
+
+
+def _bands(F, a, h):
+    """The generator's bands as ``_fv_bands`` wrote them before it read
+    ``_fv_fluxes``, for F and a of one shape."""
+    F_half = 0.5 * (F[..., :-1] + F[..., 1:])
+    zero = np.zeros(a.shape[:-1] + (1,))
+    right = (np.maximum(F_half, 0.0) + a[..., :-1] / h) / h
+    left = (a[..., 1:] / h - np.minimum(F_half, 0.0)) / h
+    diag = -(np.concatenate([zero, left], axis=-1)
+             + np.concatenate([right, zero], axis=-1))
+    return (np.concatenate([zero, right], axis=-1), diag,
+            np.concatenate([left, zero], axis=-1))
+
+
+# speeds with exact zeros and sign changes between neighbouring nodes
+_speed = st.one_of(st.just(0.0), st.just(-0.0), _coeff)
+_shape2 = st.tuples(st.integers(2, 12), st.integers(2, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shape2.flatmap(lambda s: st.tuples(
+    hnp.arrays(float, s, elements=_speed),
+    hnp.arrays(float, s, elements=st.floats(0.0, 1.0)))),
+    st.floats(0.01, 2.0), st.floats(1e-4, 0.5))
+def test_upwind_transport_step_is_the_old_sweep_on_either_axis(data, h, dt):
+    """With a = 0 the forward step adds +-0.0 to the old sweep's factors,
+    which is exact, so both sweeps of the kinetic split step keep every
+    bit (np.array_equal: only the sign of a zero may differ)."""
+    F, u = data
+    along_x = _euler_step(F.T, 0.0, h, dt, False)(u.T).T
+    along_v = _euler_step(F, 0.0, h, dt, False)(u)
+    assert np.array_equal(along_x, _sweep(u, F, h, dt, axis=0))
+    assert np.array_equal(along_v, _sweep(u, F, h, dt, axis=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shape2.flatmap(lambda s: st.tuples(
+    hnp.arrays(float, s, elements=_speed),
+    hnp.arrays(float, s, elements=_diff))), st.floats(0.01, 2.0))
+def test_fv_bands_from_the_fluxes_equal_the_old_band_formulas(data, h):
+    """fl(x - y) = -fl(y - x), so the bands built from ``_fv_fluxes`` equal
+    the old formulas exactly and the backward solves do not move
+    (np.array_equal: only the sign of a zero may differ)."""
+    F, a = data
+    for new, old in zip(_fv_bands(F, a, h), _bands(F, a, h)):
+        assert np.array_equal(new, old)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.text(max_size=12).filter(lambda s: s not in ("upwind", "centered")))
+def test_unknown_flux_is_rejected_by_name(flux):
+    _, field, u0 = _pde_cases()[1]
+    named = f"^unknown flux {re.escape(repr(flux))}$"
+    with pytest.raises(ValueError, match=named):
+        _euler_step(np.ones(8), 0.0, 0.1, 0.01, False, flux)
+    with pytest.raises(ValueError, match=named):
+        solve_kinetic(field, u0, 0.05, flux=flux)
+
+
 # -- horizon and recording cadence -------------------------------------------
 
 
@@ -139,6 +216,14 @@ def test_bad_horizon_is_rejected_by_name(T):
             solve(field, u0, T)
         with pytest.raises(ValueError, match="^T must be positive"):
             solve(field, u0, T, implicit=True)
+
+
+def test_horizon_shorter_than_half_a_store_step_is_rejected_by_name():
+    """The path solvers share the PDE solvers' user-dt rule: a horizon that
+    rounds to zero steps does not divide into store steps."""
+    ou, store = _path_case()
+    with pytest.raises(ValueError, match="^dt must divide the horizon T"):
+        simulate_ensemble(ou, 0.5, 1e-10, store)
 
 
 @pytest.mark.parametrize("every", [0, -1, 2.5])

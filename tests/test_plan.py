@@ -28,8 +28,8 @@ from sdelab import (
     validate_config,
 )
 from sdelab.fields import PRESET_NAMES
-from sdelab.runner import _DEFAULTS, main
-from sdelab.sde import BrownianStore
+from sdelab.runner import _DEFAULTS, _plan, main
+from sdelab.sde import BrownianStore, stability_cap
 
 _2D = {"bounds": [[-4.0, 4.0], [-4.0, 4.0]], "counts": [64, 64],
        "periodic": False}
@@ -90,6 +90,30 @@ def test_a_config_run_would_reject_fails_validate_and_run(case, tmp_path,
     assert f"invalid: {key}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _sde_dt_config(excess):
+    """thm_1d_convergence at dt = cap (1 + excess), T = 100 dt, where cap is
+    the smallest stability cap of its mollified fields."""
+    fields = _plan({"scenario": "thm_1d_convergence"})[1]["fields"]
+    dt = min(stability_cap(f) for f in fields) * (1.0 + excess)
+    return {"scenario": "thm_1d_convergence", "dt": dt, "T": 100 * dt,
+            "n_paths": 8}
+
+
+def test_sde_dt_within_the_relative_slack_validates_and_runs(tmp_path):
+    """The step and the family check share one user-dt rule: a dt within
+    the relative 1e-12 slack of the cap passes both."""
+    cfg = _sde_dt_config(5e-13)
+    validate_config(cfg)
+    assert run_scenario(cfg, out_dir=tmp_path / "run").manifest["complete"]
+
+
+def test_sde_dt_beyond_the_relative_slack_is_rejected_by_dt():
+    with pytest.raises(ConfigError) as exc:
+        validate_config(_sde_dt_config(1e-11))
+    assert len(exc.value.errors) == 1
+    assert exc.value.errors[0].startswith("dt: "), exc.value.errors
 
 
 # -- accepted configs run to completion ----------------------------------------
