@@ -292,16 +292,14 @@ def stationary_bound_check(field: CoefficientField,
 
 
 def energy_monitor(evolution: Law, field: CoefficientField,
-                   alphas, p: float, q: float | None = None,
-                   constant: float | None = None) -> EnergyReport:
+                   alphas, p: float, q: float | None = None) -> EnergyReport:
     """Check of the moment inequality for int u^alpha between recorded
     stamps (see ``EnergyReport``).
 
     Budget rate: C'' * (1 + ||grad a||_{L^p}^{2/theta}) with theta = 1 - d/p.
-    The default C'' = max_alpha alpha(alpha-1)(1 + sup|F|^2/(2c)) was
-    calibrated once on the pure-diffusion case (where the integral is
-    nonincreasing and any nonnegative constant passes) and is frozen here;
-    pass ``constant`` to override.
+    C'' = max_alpha alpha(alpha-1)(1 + sup|F|^2/(2c)) was calibrated once on
+    the pure-diffusion case (where the integral is nonincreasing and any
+    nonnegative constant passes) and is frozen here; the report records it.
     """
     grid = evolution.grid
     if grid.d != 1:
@@ -324,9 +322,8 @@ def energy_monitor(evolution: Law, field: CoefficientField,
     lp = float((grid.cell_volume * np.sum(np.abs(grad_a) ** p)) ** (1.0 / p))
 
     sup_F = field.sup_drift
-    if constant is None:
-        constant = max(al * (al - 1.0) for al in alphas) \
-            * (1.0 + sup_F * sup_F / (2.0 * c))
+    constant = max(al * (al - 1.0) for al in alphas) \
+        * (1.0 + sup_F * sup_F / (2.0 * c))
     rate = constant * (1.0 + lp ** (2.0 / theta))
 
     vol = grid.cell_volume
@@ -411,9 +408,10 @@ def solve_kinetic(field: CoefficientField, u0, T: float,
     return law
 
 
-def max_principle_check(evolution: Law,
-                        tolerance: float = 1e-8) -> Report:
-    """max_x u(t_k) <= max_x u(0) * (1 + tolerance) at every stamp."""
+def max_principle_check(evolution: Law) -> Report:
+    """max_x u(t_k) <= max_x u(0) * (1 + 1e-8) at every stamp; the report
+    records the relative tolerance 1e-8."""
+    tolerance = 1e-8
     peaks = evolution.density.reshape(evolution.times.size, -1).max(axis=1)
     cap = peaks[0] * (1.0 + tolerance)
     bad = peaks > cap

@@ -155,8 +155,14 @@ class Law:
 
     @classmethod
     def gaussian(cls, grid: Grid, times, mean: float = 0.0, std: float = 1.0) -> "Law":
+        """Normal profile of finite mean and positive finite std on a 1-D
+        grid, normalised per slice by ``from_slices``."""
         if grid.d != 1:
             raise ValueError("gaussian constructor is one-dimensional")
+        if not np.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean}")
+        if not (np.isfinite(std) and std > 0):
+            raise ValueError(f"std must be positive and finite, got {std}")
         x = grid.nodes(0)
         u = np.exp(-0.5 * ((x - mean) / std) ** 2)
         return cls.from_slices(grid, times, np.broadcast_to(

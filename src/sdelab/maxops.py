@@ -271,11 +271,7 @@ def check_pointwise_bound(
     pairs: tuple[np.ndarray, np.ndarray],
     *,
     L: float | None = None,
-    drift: np.ndarray | None = None,
     K_cal: float = 1.0,
-    C_disc: float = 4.0,
-    schedule: RadiusSchedule | None = None,
-    half_values: np.ndarray | None = None,
 ) -> ViolationReport:
     """Scan node pairs against a pointwise coefficient-difference bound.
 
@@ -283,13 +279,13 @@ def check_pointwise_bound(
     kind='modified': |F(x)-F(y)| <= (h(x)+h(y)) (|x-y| + 1/L),
                      h = |F| + M_L |grad F|   (values plays F; pass L)
     kind='half':     |f(x)-f(y)| <= K_cal (M|d^(1/2) f|(x)+M|d^(1/2) f|(y))
-                     |x-y|^(1/2)
+                     |x-y|^(1/2)   (periodic power-of-two grid)
 
-    A discretization allowance tau = C_disc * h * max|grad f| is added to the
-    right side before counting violations. The reported worst ratio divides
-    the left side by the *mean*-normalized right side (so smooth equality
-    cases score 1); for kind='half' that worst ratio is the empirical
-    calibration constant.
+    M is ``maximal`` over its geometric radius schedule. A discretization
+    allowance tau = 4 h max|grad f| is added to the right side before
+    counting violations. The reported worst ratio divides the left side by
+    the *mean*-normalized right side (so smooth equality cases score 1); for
+    kind='half' that worst ratio is the empirical calibration constant.
     """
     if grid.d != 1:
         raise ValueError("pair scans are implemented for d=1 grids")
@@ -303,10 +299,10 @@ def check_pointwise_bound(
     dist = np.abs(x[i] - x[j])
     lhs = np.abs(values[i] - values[j])
     gmax = float(np.max(np.abs(gradient(values, grid))))
-    tau = C_disc * grid.h[0] * gmax
+    tau = 4.0 * grid.h[0] * gmax
 
     if kind == "classic":
-        g = maximal(np.abs(gradient(values, grid)), grid, schedule)
+        g = maximal(np.abs(gradient(values, grid)), grid)
         base = (g[i] + g[j]) * dist
         cal = 1.0
     elif kind == "modified":
@@ -320,13 +316,7 @@ def check_pointwise_bound(
         base = (hfield[i] + hfield[j]) * (dist + 1.0 / L)
         cal = 1.0
     elif kind == "half":
-        if half_values is None:
-            if not grid.periodic[0]:
-                raise ValueError(
-                    "kind='half' needs a periodic grid or precomputed half_values"
-                )
-            half_values = half_derivative(values, grid)
-        g = maximal(np.abs(half_values), grid, schedule)
+        g = maximal(np.abs(half_derivative(values, grid)), grid)
         base = (g[i] + g[j]) * np.sqrt(dist)
         cal = K_cal
     else:

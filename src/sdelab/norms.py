@@ -17,13 +17,7 @@ import numpy as np
 
 from .fields import Grid, mollify_array
 from .laws import Law
-from .maxops import (
-    RadiusSchedule,
-    gradient_magnitude,
-    half_derivative,
-    maximal,
-    maximal_modified,
-)
+from .maxops import gradient_magnitude, half_derivative, maximal, maximal_modified
 from .report import Report, Serialisable
 from .sde import path_time_integrals
 
@@ -121,59 +115,62 @@ def _pathwise_time_integral(ensemble, weight_grid: np.ndarray, T: float):
     return mean, stderr
 
 
-def _finish_sqrt(kind, total, method, T, se=None, **kw) -> NormValue:
+def _sqrt_norm(kind, w, u: Law, T: float, method: str, ensemble) -> NormValue:
+    """sqrt of int int w u dx dt: by grid quadrature, or from the pathwise
+    mean over ``ensemble`` with its standard error carried through the root."""
+    se = mc = None
+    if method == "quadrature":
+        total = u.time_integral(w, T)
+    elif method != "pathwise":
+        raise ValueError(f"unknown method {method!r}")
+    elif ensemble is None:
+        raise ValueError("pathwise method needs an ensemble")
+    else:
+        total, se = _pathwise_time_integral(ensemble, w, T)
     value = float(np.sqrt(max(total, 0.0)))
-    mc = None
     if se is not None:
         mc = float(se / (2.0 * value)) if value > 0 else float(np.sqrt(se))
-    return NormValue(kind, value, method, T, mc_stderr=mc, **kw)
+    return NormValue(kind, value, method, T, mc_stderr=mc)
 
 
 def h1_norm(values, u: Law, T: float, method: str = "quadrature", *,
-            ensemble=None, schedule: RadiusSchedule | None = None) -> NormValue:
-    """H1(u) norm of a scalar or component-stacked field."""
+            ensemble=None) -> NormValue:
+    """H1(u) norm of a scalar or component-stacked field; M is ``maximal``
+    over its geometric radius schedule."""
     _check_law(values, u, T)
     comp = _as_components(values, u.grid)
-    w = _sq_mag(comp) + maximal(gradient_magnitude(comp, u.grid),
-                                u.grid, schedule) ** 2
-    if method == "quadrature":
-        return _finish_sqrt("H1", u.time_integral(w, T), method, T)
-    if method != "pathwise":
-        raise ValueError(f"unknown method {method!r}")
-    if ensemble is None:
-        raise ValueError("pathwise method needs an ensemble")
-    mean, se = _pathwise_time_integral(ensemble, w, T)
-    return _finish_sqrt("H1", mean, method, T, se=se)
+    w = _sq_mag(comp) + maximal(gradient_magnitude(comp, u.grid), u.grid) ** 2
+    return _sqrt_norm("H1", w, u, T, method, ensemble)
 
 
-def w11_norm(values, u: Law, T: float, *,
-             schedule: RadiusSchedule | None = None) -> NormValue:
-    """Degree-1 drift functional int int M|grad F| u dx dt."""
+def w11_norm(values, u: Law, T: float) -> NormValue:
+    """Degree-1 drift functional int int M|grad F| u dx dt; M is ``maximal``
+    over its geometric radius schedule."""
     _check_law(values, u, T)
     comp = _as_components(values, u.grid)
-    w = maximal(gradient_magnitude(comp, u.grid), u.grid, schedule)
+    w = maximal(gradient_magnitude(comp, u.grid), u.grid)
     return NormValue("W11", float(u.time_integral(w, T)), "quadrature", T)
 
 
-def _l_grid(L_grid, phi: PhiWeight) -> tuple:
+def _l_grid(L_grid) -> tuple:
     """``wphi_weak_norm``'s L grid: e^1 .. e^8 by default; a given grid must
-    start at or above L = e and keep phi(L)/L nondecreasing."""
+    start at or above L = e and keep phi(L)/L nondecreasing for the default
+    phi."""
     if L_grid is None:
         L_grid = tuple(np.exp(np.arange(1, 9)))
     L_grid = tuple(float(L) for L in L_grid)
     if min(L_grid) < np.e - 1e-9:
         raise ValueError("L grid must start at or above L = e")
-    phi.check_superlinear(L_grid)
+    PhiWeight.default().check_superlinear(L_grid)
     return L_grid
 
 
-def wphi_weak_norm(values, u: Law, T: float, phi: PhiWeight | None = None,
-                   L_grid=None) -> NormValue:
-    """sup over the L grid of phi(L)/(L log L) * int int (|F|+M_L|grad F|) u."""
+def wphi_weak_norm(values, u: Law, T: float, L_grid=None) -> NormValue:
+    """sup over the L grid of phi(L)/(L log L) * int int (|F|+M_L|grad F|) u,
+    with the default phi(L) = L sqrt(1 + log L) (``PhiWeight.default``)."""
     _check_law(values, u, T)
-    if phi is None:
-        phi = PhiWeight.default()
-    L_grid = _l_grid(L_grid, phi)
+    phi = PhiWeight.default()
+    L_grid = _l_grid(L_grid)
     comp = _as_components(values, u.grid)
     mag = np.sqrt(_sq_mag(comp))
     gmag = gradient_magnitude(comp, u.grid)
@@ -187,22 +184,16 @@ def wphi_weak_norm(values, u: Law, T: float, phi: PhiWeight | None = None,
 
 
 def h_half_norm(values, u: Law, T: float, method: str = "quadrature", *,
-                ensemble=None, schedule: RadiusSchedule | None = None) -> NormValue:
-    """H^{1/2}(u) norm on a periodic 1-D grid."""
+                ensemble=None) -> NormValue:
+    """H^{1/2}(u) norm on a periodic 1-D grid; M is ``maximal`` over its
+    geometric radius schedule."""
     if u.grid.d != 1:
         raise ValueError("h_half_norm is one-dimensional")
     _check_law(values, u, T)
     dh = half_derivative(np.asarray(values, dtype=float).reshape(u.grid.shape),
                          u.grid)
-    w = maximal(np.abs(dh), u.grid, schedule) ** 2
-    if method == "quadrature":
-        return _finish_sqrt("Hhalf", u.time_integral(w, T), method, T)
-    if method != "pathwise":
-        raise ValueError(f"unknown method {method!r}")
-    if ensemble is None:
-        raise ValueError("pathwise method needs an ensemble")
-    mean, se = _pathwise_time_integral(ensemble, w, T)
-    return _finish_sqrt("Hhalf", mean, method, T, se=se)
+    w = maximal(np.abs(dh), u.grid) ** 2
+    return _sqrt_norm("Hhalf", w, u, T, method, ensemble)
 
 
 _PROBE_KINDS = ("H1", "WphiWeak", "Hhalf")
@@ -222,12 +213,13 @@ def _norm_of(kind, values, u, T):
 
 
 def semicontinuity_probe(values, grid: Grid, u: Law, deltas, kind: str = "H1",
-                         T: float = 1.0, tolerance: float = 0.05) -> Report:
+                         T: float = 1.0) -> Report:
     """Lower-semicontinuity probes along mollification / law-smoothing schedules.
 
     Checks ||f|| <= min over the schedule tail of ||f_n|| (and the law-side
-    variant) up to a relative tolerance.
+    variant) up to a relative tolerance of 0.05, which the report records.
     """
+    tolerance = 0.05
     _check_probe_kind(kind)
     deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 4:
@@ -255,9 +247,9 @@ def semicontinuity_probe(values, grid: Grid, u: Law, deltas, kind: str = "H1",
 
 
 def holder_domination_check(values, u: Law, p: float, q: float,
-                            T: float | None = None,
-                            schedule: RadiusSchedule | None = None) -> Report:
-    """Discrete Hoelder chain for the gradient part of the H1 norm.
+                            T: float | None = None) -> Report:
+    """Discrete Hoelder chain for the gradient part of the H1 norm (M is
+    ``maximal`` over its geometric radius schedule).
 
     int int (M|grad f|)^2 u <= ||(M|grad f|)^2||_{L^q_t(L^p_x)}
                                * ||u||_{L^{q'}_t(L^{p'}_x)}
@@ -268,7 +260,7 @@ def holder_domination_check(values, u: Law, p: float, q: float,
         raise ValueError("p and q must be > 1")
     grid = u.grid
     comp = _as_components(values, grid)
-    g2 = maximal(gradient_magnitude(comp, grid), grid, schedule) ** 2
+    g2 = maximal(gradient_magnitude(comp, grid), grid) ** 2
     T = u.T if T is None else T
     lhs = u.time_integral(g2, T)
 

@@ -35,9 +35,8 @@ from .fpe import (
     stationary_bound_check,
 )
 from .laws import Law, _user_steps
-from .maxops import gradient_magnitude, half_derivative, maximal, maximal_modified
+from .maxops import gradient_magnitude, half_derivative, maximal
 from .norms import (
-    PhiWeight,
     _check_probe_kind,
     _l_grid,
     h1_norm,
@@ -51,6 +50,7 @@ from .sde import (
     BrownianStore,
     _check_cauchy,
     _check_family,
+    _check_uniqueness,
     cauchy_diagnostic,
     dyadic_block_averages,
     dyadic_eps_schedule,
@@ -296,9 +296,7 @@ def _plan(raw):
             plan["x_points"] = _built("x_span", _x_points, grid, cfg["x_span"],
                                       cfg["n_points"])
             x0, n = np.repeat(plan["x_points"], n)[:, None], n * cfg["n_points"]
-            for eps in cfg["epsilons"]:  # the integrand's M_{1/eps}
-                _built("epsilons", maximal_modified, np.zeros(grid.shape), grid,
-                       1.0 / eps)
+            _built("epsilons", _check_uniqueness, cfg["epsilons"])
         plan["steps"] = _built("x0" if "x0" in cfg else "grid", _check_family,
                                plan["fields"], x0, cfg["T"], plan["dt"], n,
                                field.r)[1]
@@ -313,7 +311,7 @@ def _plan(raw):
             grid, [0.0], w["mean"], w["std"]), cfg["law"])
         _built("grid", half_derivative, field.diffusion[:, 0, 0], grid)
         _built("probe_kind", _check_probe_kind, cfg["probe_kind"])
-        _built("L_grid", _l_grid, cfg["L_grid"], PhiWeight.default())
+        _built("L_grid", _l_grid, cfg["L_grid"])
         _built("deltas", lambda: [Mollifier(d).taps_1d(grid.h[0])
                                   for d in cfg["deltas"]])
     return cfg, plan
@@ -380,6 +378,10 @@ def _pick_dt(T: float, cap: float, dt_cfg) -> float:
 
 
 def _x_points(grid, x_span, n_points) -> np.ndarray:
+    """n_points evenly spaced initial points over the central fraction
+    x_span in (0, 1] of the box."""
+    if not 0.0 < x_span <= 1.0:
+        raise ValueError(f"x_span must lie in (0, 1], got {x_span}")
     span = x_span * (grid.upper[0] - grid.lower[0]) / 2
     return np.linspace(-span, span, n_points) + (grid.upper[0] + grid.lower[0]) / 2
 

@@ -143,7 +143,6 @@ class PathEnsemble:
     paths: np.ndarray            # (N, nt, d)
     store: BrownianStore
     dt: float                    # integration step
-    x0: np.ndarray
     exit_fraction: float
 
     @property
@@ -372,7 +371,7 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
         raise FloatingPointError(
             f"non-finite path value at step {step} (path {path})")
     times = dt * np.asarray(rec, dtype=float)
-    return [PathEnsemble(f, times, out[m], store, dt, x0,
+    return [PathEnsemble(f, times, out[m], store, dt,
                          exit_fraction=int(hits[m].sum()) / (N * n_steps))
             for m, f in enumerate(fields)]
 
@@ -492,13 +491,12 @@ def _check_cauchy(n_members: int, p: float) -> None:
         raise ValueError("p must be > 1")
 
 
-def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0,
-                      law_grid: Grid | None = None) -> Report:
+def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0) -> Report:
     """Matrix of E sup_t |Delta_t|^p over coupled ensemble pairs.
 
-    Also estimates eta(n, m) from the empirical laws and checks that the
-    worst entry at each refinement level is nonincreasing within two
-    standard errors.
+    Also estimates eta(n, m) from the empirical laws (histograms on the
+    ensembles' grid) and checks that the worst entry at each refinement
+    level is nonincreasing within two standard errors.
     """
     _check_cauchy(len(ensembles), p)
     k = len(ensembles)
@@ -506,7 +504,7 @@ def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0,
     se = np.zeros((k, k))
     eta = np.zeros((k, k))
     # eta[n, m] reads the law of the coarser member n <= k - 2 only
-    laws = [Law.from_ensemble(e, law_grid) for e in ensembles[:-1]]
+    laws = [Law.from_ensemble(e) for e in ensembles[:-1]]
     T = float(ensembles[0].times[-1])
     for n in range(k):
         for m in range(n + 1, k):
@@ -549,21 +547,15 @@ def dyadic_eps_schedule(eps_min: float, eps_max: float) -> list[tuple[float, flo
 
 
 def dyadic_block_averages(ensA: PathEnsemble, ensB: PathEnsemble,
-                          schedule: list[tuple[float, float]],
-                          weights: np.ndarray | None = None) -> Report:
+                          schedule: list[tuple[float, float]]) -> Report:
     """Block averages of the dyadic band masses along the eps partition.
 
-    beta_k is the time-average of E[w(X) 1_{2^{-k-1} <= |Delta| < 2^{-k}}]
-    (w == 1 unless grid weights are supplied); each block averages beta_k
-    over the dyadic bands contained in one schedule interval. Band masses
-    are summable, so the block averages must die out along the schedule.
+    beta_k is the time-average of P(2^{-k-1} <= |Delta| < 2^{-k}); each
+    block averages beta_k over the dyadic bands contained in one schedule
+    interval. Band masses are summable, so the block averages must die out
+    along the schedule.
     """
     delta = _coupled(ensA, ensB)
-    if weights is not None:
-        w = 0.5 * (ensA.interp_values(weights, ensA.paths[..., 0])
-                   + ensB.interp_values(weights, ensB.paths[..., 0]))
-    else:
-        w = None
     blocks = []
     betas_all = []
     for (a, b) in schedule:
@@ -572,8 +564,7 @@ def dyadic_block_averages(ensA: PathEnsemble, ensB: PathEnsemble,
         betas = []
         for k in ks:
             band = (delta >= 2.0 ** (-k - 1)) & (delta < 2.0 ** (-k))
-            val = band if w is None else band * w
-            betas.append(float(val.mean()))
+            betas.append(float(band.mean()))
         betas_all.append(betas)
         blocks.append(float(np.mean(betas)) if betas else 0.0)
     blocks = np.asarray(blocks)
@@ -593,35 +584,37 @@ def dyadic_block_averages(ensA: PathEnsemble, ensB: PathEnsemble,
     })
 
 
+def _check_uniqueness(eps_list) -> None:
+    """``uniqueness_map``'s checks that need no paths: the integrand's
+    M_{1/eps} needs L = 1/eps >= 1, so each eps lies in (0, 1]."""
+    for eps in eps_list:
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"each eps must lie in (0, 1], got {eps}")
+
+
 def uniqueness_map(x_points, fieldA: CoefficientField, fieldB: CoefficientField,
                    eps_list, t: float, n_paths: int, store: BrownianStore,
                    base_field: CoefficientField | None = None,
-                   threshold: float = 0.02,
-                   factorA: int = 1, factorB: int = 1) -> Report:
+                   threshold: float = 0.02) -> Report:
     """Per-initial-condition uniqueness diagnostic.
 
-    For each grid point x, both regularization builds run n_paths shared-noise
-    paths from x; the report holds E|X_t - X^_t| per x and the a-priori
+    For each point x, both regularization builds run n_paths shared-noise
+    paths from x as one ``simulate_family`` walk on the store's first
+    len(x_points) * n_paths paths, recording every 16th step and the last;
+    the report holds E|X_t - X^_t| per x at the last stamp and the a-priori
     integrand M_t^eps(x) = E int_0^t [(M|grad sigma|)^2 + |F| +
-    M_{1/eps}|grad F|](X_s) ds for each eps, evaluated on the unregularized
-    coefficients.
+    M_{1/eps}|grad F|](X_s) ds for each eps in (0, 1], evaluated along the
+    paths of fieldA on the unregularized coefficients (base_field, else
+    fieldA).
     """
     x_points = np.asarray(x_points, dtype=float)
     n_x = x_points.size
-    need = n_x * n_paths
     if fieldA.grid.d != 1:
         raise ValueError("uniqueness_map is one-dimensional")
-    x0 = np.repeat(x_points, n_paths)
-    sub = store.prefix(need)
-    ensA, ensB = (simulate_ensemble(f, x0, t, sub if k == 1 else sub.coarsen(k),
-                                    record_every=max(1, 16 // k))
-                  for f, k in ((fieldA, factorA), (fieldB, factorB)))
-    # align recorded stamps
-    common = np.intersect1d(np.round(ensA.times, 12), np.round(ensB.times, 12))
-    ia = np.searchsorted(np.round(ensA.times, 12), common)
-    ib = np.searchsorted(np.round(ensB.times, 12), common)
-    kt = int(np.argmin(np.abs(common - t)))
-    gap = np.abs(ensA.paths[:, ia[kt], 0] - ensB.paths[:, ib[kt], 0])
+    _check_uniqueness(eps_list)
+    ensA, ensB = simulate_family([fieldA, fieldB], np.repeat(x_points, n_paths),
+                                 t, store.prefix(n_x * n_paths), record_every=16)
+    gap = np.abs(ensA.paths[:, -1, 0] - ensB.paths[:, -1, 0])
     n_eps = gap.reshape(n_x, n_paths).mean(axis=1)
 
     base = base_field if base_field is not None else fieldA
@@ -631,11 +624,13 @@ def uniqueness_map(x_points, fieldA: CoefficientField, fieldB: CoefficientField,
     absF = np.linalg.norm(base.drift, axis=-1)
     gF = gradient_magnitude(base.drift, g)
     m_eps = {}
-    upto = common <= t + 1e-12
+    # stamps as an index array (a copy), not a slice (a view): the memory
+    # layout of the picked stamps sets the trapezoid's summation order
+    stamps = np.arange(ensA.times.size)
     for eps in eps_list:
         integrand = msig + absF + maximal_modified(gF, g, 1.0 / eps)
-        per_path = path_time_integrals(ensA.paths, g, integrand, common[upto],
-                                       ia[upto])
+        per_path = path_time_integrals(ensA.paths, g, integrand, ensA.times,
+                                       stamps)
         m_eps[float(eps)] = per_path.reshape(n_x, n_paths).mean(axis=1)
     frac = float(np.mean(n_eps <= threshold))
     return Report("uniqueness_map", frac == 1.0, {
