@@ -8,6 +8,7 @@ box a field is extended periodically or by its edge value, per axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
@@ -182,18 +183,51 @@ class CoefficientField:
                              self.diffusion.reshape(coords.shape[0], -1)]))
 
 
-PRESET_NAMES = (
-    "ou",
-    "heat",
-    "sqrt_diffusion",
-    "kink_drift",
-    "degenerate_1d",
-    "kinetic_langevin",
-)
-
-
 def _clip_abs(x):
     return np.minimum(np.abs(x), 1.0)
+
+
+def _kink(x, beta):
+    return beta * _clip_abs(x) * np.sign(x)
+
+
+def _isotropic(grid: Grid, scale: float) -> np.ndarray:
+    return np.broadcast_to(scale * np.eye(grid.d),
+                           grid.shape + (grid.d, grid.d)).copy()
+
+
+def _on_line(profile):
+    """A one-dimensional preset from profile(x, **params) -> (F, sigma)."""
+    def build(grid, **params):
+        F, sig = profile(grid.nodes(0), **params)
+        return F[:, None], sig[:, None, None]
+    return build
+
+
+def _kinetic(grid, beta, temp):
+    x, v = grid.meshgrid()
+    diffusion = np.zeros(grid.shape + (2, 1))
+    diffusion[..., 1, 0] = np.sqrt(2.0 * temp)
+    return np.stack([v, _kink(x, -beta)], axis=-1), diffusion
+
+
+# name: (grid dimension, None for any; parameter defaults; builder
+# (grid, **params) -> (drift, diffusion))
+_PRESETS = {
+    "ou": (None, {}, lambda grid: (-np.stack(grid.meshgrid(), axis=-1),
+                                   _isotropic(grid, np.sqrt(2.0)))),
+    "heat": (None, {}, lambda grid: (np.zeros(grid.shape + (grid.d,)),
+                                     _isotropic(grid, 1.0))),
+    "sqrt_diffusion": (1, {"kappa": 0.0}, _on_line(lambda x, kappa: (
+        np.zeros_like(x), np.sqrt(_clip_abs(x) + kappa)))),
+    "kink_drift": (1, {"beta": 1.0, "sigma": 1.0}, _on_line(
+        lambda x, beta, sigma: (_kink(x, beta), np.full_like(x, sigma)))),
+    "degenerate_1d": (1, {}, _on_line(lambda x: (np.zeros_like(x),
+                                                 _clip_abs(x)))),
+    "kinetic_langevin": (2, {"beta": 1.0, "temp": 0.5}, _kinetic),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_field(name: str, params: dict | None, grid: Grid) -> CoefficientField:
@@ -207,69 +241,27 @@ def preset_field(name: str, params: dict | None, grid: Grid) -> CoefficientField
     kinetic_langevin: on a 2-D (x,v) grid, the phase-space system
                       F = (v, -beta*min(|x|,1)*sign(x)), noise sqrt(2*temp)
                       acting on v only.
+
+    ou and heat take any dimension, kinetic_langevin a 2-D grid, the others
+    a 1-D grid.
     """
     params = dict(params or {})
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-
-    if name == "kinetic_langevin":
-        if grid.d != 2:
-            raise ValueError("kinetic_langevin needs a 2-D (x, v) phase-space grid")
-        beta = float(params.pop("beta", 1.0))
-        temp = float(params.pop("temp", 0.5))
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
-        if temp < 0:
-            raise ValueError("temp must be >= 0")
-        x, v = grid.meshgrid()
-        drift = np.stack([v, -beta * _clip_abs(x) * np.sign(x)], axis=-1)
-        diffusion = np.zeros(grid.shape + (2, 1))
-        diffusion[..., 1, 0] = np.sqrt(2.0 * temp)
-        prov = {"name": name, "params": {"beta": beta, "temp": temp}, "delta": 0.0}
-        return CoefficientField(grid, drift, diffusion, prov)
-
-    if name in ("ou", "heat"):
-        # these two make sense in any dimension: isotropic noise, linear or
-        # zero drift
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
-        pts = np.stack(grid.meshgrid(), axis=-1)
-        scale = np.sqrt(2.0) if name == "ou" else 1.0
-        drift = -pts if name == "ou" else np.zeros_like(pts)
-        diffusion = np.broadcast_to(
-            scale * np.eye(grid.d), grid.shape + (grid.d, grid.d)
-        ).copy()
-        prov = {"name": name, "params": {}, "delta": 0.0}
-        return CoefficientField(grid, drift, diffusion, prov)
-
-    if grid.d != 1:
-        raise ValueError(f"preset {name!r} is one-dimensional")
-    x = grid.nodes(0)
-    if name == "sqrt_diffusion":
-        kappa = float(params.pop("kappa", 0.0))
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
-        if kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        F = np.zeros_like(x)
-        sig = np.sqrt(_clip_abs(x) + kappa)
-        used = {"kappa": kappa}
-    elif name == "kink_drift":
-        beta = float(params.pop("beta", 1.0))
-        sigma0 = float(params.pop("sigma", 1.0))
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
-        F = beta * _clip_abs(x) * np.sign(x)
-        sig = np.full_like(x, sigma0)
-        used = {"beta": beta, "sigma": sigma0}
-    else:  # degenerate_1d
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
-        F = np.zeros_like(x)
-        sig = _clip_abs(x)
-        used = {}
+    dim, defaults, build = _PRESETS[name]
+    if dim not in (None, grid.d):
+        raise ValueError(f"preset {name!r} is one-dimensional" if dim == 1
+                         else f"{name} needs a 2-D (x, v) phase-space grid")
+    used = {key: float(params.get(key, v)) for key, v in defaults.items()}
+    extra = sorted(set(params) - set(defaults))
+    if extra:
+        raise ValueError(f"unexpected parameters {extra}")
+    for key in ("kappa", "temp"):
+        if used.get(key, 0.0) < 0:
+            raise ValueError(f"{key} must be >= 0")
+    drift, diffusion = build(grid, **used)
     prov = {"name": name, "params": used, "delta": 0.0}
-    return CoefficientField(grid, F[:, None], sig[:, None, None], prov)
+    return CoefficientField(grid, drift, diffusion, prov)
 
 
 @dataclass(frozen=True)
@@ -293,32 +285,26 @@ class Mollifier:
 
     def taps_1d(self, h: float) -> np.ndarray:
         """Normalized discrete kernel at node offsets multiple of h."""
-        if self.delta < 2.0 * h:
+        return self.taps_radial((h,))
+
+    def taps_radial(self, h: Sequence[float]) -> np.ndarray:
+        """Normalized radial bump kernel on the lattice of cell widths h
+        (one per axis), at node offsets up to the support."""
+        if self.delta < 2.0 * max(h):
             raise ValueError(
-                f"mollifier scale {self.delta} under-resolved on cell width {h}"
+                f"mollifier scale {self.delta} under-resolved on cell width {max(h)}"
             )
-        k = int(np.ceil(self.delta / h)) - 1
-        w = self.profile(h * np.arange(-k, k + 1))
+        ks = [int(np.ceil(self.delta / hi)) - 1 for hi in h]
+        offsets = [hi * np.arange(-k, k + 1) for hi, k in zip(h, ks)]
+        # the radius on the offset lattice; on one axis the signed offsets
+        # themselves, which the profile squares
+        w = self.profile(functools.reduce(np.hypot, np.ix_(*offsets)))
         total = w.sum()
         if total <= 0:
             raise ValueError("degenerate mollifier kernel")
         w = w / total
         assert abs(w.sum() - 1.0) < 1e-12
         return w
-
-    def taps_radial(self, h: Sequence[float]) -> np.ndarray:
-        """Normalized radial bump kernel on a 2-D cell lattice."""
-        if self.delta < 2.0 * max(h):
-            raise ValueError("mollifier scale under-resolved on this grid")
-        ks = [int(np.ceil(self.delta / hi)) - 1 for hi in h]
-        oi = h[0] * np.arange(-ks[0], ks[0] + 1)
-        oj = h[1] * np.arange(-ks[1], ks[1] + 1)
-        rr = np.hypot(oi[:, None], oj[None, :])
-        w = self.profile(rr)
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("degenerate mollifier kernel")
-        return w / total
 
 
 # The two correlation kernels below read an array already extended by the
@@ -383,7 +369,7 @@ def mollify_array(values: np.ndarray, grid: Grid, delta: float) -> np.ndarray:
     """
     moll = Mollifier(delta)
     values = np.asarray(values, dtype=float)
-    w = moll.taps_1d(grid.h[0]) if grid.d == 1 else moll.taps_radial(grid.h)
+    w = moll.taps_radial(grid.h)
     halo = [(s - 1) // 2 for s in w.shape]
     padded = grid.pad(values.reshape(grid.shape + (-1,)), halo)
     if grid.d == 1:

@@ -69,6 +69,25 @@ def _user_steps(T: float, dt: float, cap: float) -> int:
     return steps
 
 
+def _gaussian(grid: Grid, mean=0.0, std=1.0) -> np.ndarray:
+    """Unnormalised normal profile on the nodes, the product over axes a of
+    exp(-((x_a - mean_a) / std_a)^2 / 2). mean and std have 1 or grid.d
+    components; the mean is finite, the std positive and finite."""
+    m, s = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (mean, std))
+    if m.ndim != 1 or s.ndim != 1 or {m.size, s.size} - {1, grid.d}:
+        raise ValueError(f"mean and std must each have 1 or {grid.d} "
+                         f"components, got {m.shape} and {s.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not np.all(np.isfinite(s) & (s > 0)):
+        raise ValueError(f"std must be positive and finite, got {std}")
+    m, s = np.broadcast_to(m, grid.d), np.broadcast_to(s, grid.d)
+    u = np.ones(grid.shape)  # 1.0 * e is exact: one axis gives e itself
+    for ax, x in enumerate(grid.meshgrid()):
+        u = u * np.exp(-0.5 * ((x - m[ax]) / s[ax]) ** 2)
+    return u
+
+
 def _mass(grid: Grid, slices: np.ndarray) -> np.ndarray:
     return grid.cell_volume * slices.reshape(slices.shape[0], -1).sum(axis=1)
 
@@ -155,18 +174,13 @@ class Law:
 
     @classmethod
     def gaussian(cls, grid: Grid, times, mean: float = 0.0, std: float = 1.0) -> "Law":
-        """Normal profile of finite mean and positive finite std on a 1-D
-        grid, normalised per slice by ``from_slices``."""
+        """Normal profile (``_gaussian``) on a 1-D grid, normalised per slice
+        by ``from_slices``."""
         if grid.d != 1:
             raise ValueError("gaussian constructor is one-dimensional")
-        if not np.isfinite(mean):
-            raise ValueError(f"mean must be finite, got {mean}")
-        if not (np.isfinite(std) and std > 0):
-            raise ValueError(f"std must be positive and finite, got {std}")
-        x = grid.nodes(0)
-        u = np.exp(-0.5 * ((x - mean) / std) ** 2)
         return cls.from_slices(grid, times, np.broadcast_to(
-            u, (np.atleast_1d(times).size,) + grid.shape).copy())
+            _gaussian(grid, mean, std),
+            (np.atleast_1d(times).size,) + grid.shape).copy())
 
     @classmethod
     def from_ensemble(cls, ensemble, grid: Grid | None = None,

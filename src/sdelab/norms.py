@@ -196,20 +196,12 @@ def h_half_norm(values, u: Law, T: float, method: str = "quadrature", *,
     return _sqrt_norm("Hhalf", w, u, T, method, ensemble)
 
 
-_PROBE_KINDS = ("H1", "WphiWeak", "Hhalf")
+_PROBES = {"H1": h1_norm, "WphiWeak": wphi_weak_norm, "Hhalf": h_half_norm}
 
 
 def _check_probe_kind(kind) -> None:
-    if kind not in _PROBE_KINDS:
-        raise ValueError(f"kind must be one of {_PROBE_KINDS}")
-
-
-def _norm_of(kind, values, u, T):
-    if kind == "H1":
-        return h1_norm(values, u, T).value
-    if kind == "WphiWeak":
-        return wphi_weak_norm(values, u, T).value
-    return h_half_norm(values, u, T).value
+    if not isinstance(kind, str) or kind not in _PROBES:
+        raise ValueError(f"kind must be one of {tuple(_PROBES)}")
 
 
 def semicontinuity_probe(values, grid: Grid, u: Law, deltas, kind: str = "H1",
@@ -224,10 +216,11 @@ def semicontinuity_probe(values, grid: Grid, u: Law, deltas, kind: str = "H1",
     deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 4:
         raise ValueError("schedule needs at least 4 terms")
-    base = _norm_of(kind, values, u, T)
-    field_seq = [_norm_of(kind, mollify_array(values, grid, d), u, T)
+    norm = _PROBES[kind]
+    base = norm(values, u, T).value
+    field_seq = [norm(mollify_array(values, grid, d), u, T).value
                  for d in deltas]
-    law_seq = [_norm_of(kind, values, u.smooth(d), T) for d in deltas]
+    law_seq = [norm(values, u.smooth(d), T).value for d in deltas]
     slack = tolerance * max(base, 1e-30)
     tail = len(deltas) // 2
     ok_field = base <= min(field_seq[:tail + 1]) + slack

@@ -34,7 +34,7 @@ from .fpe import (
     solve_kinetic,
     stationary_bound_check,
 )
-from .laws import Law, _user_steps
+from .laws import Law, _gaussian, _user_steps
 from .maxops import gradient_magnitude, half_derivative, maximal
 from .norms import (
     _check_probe_kind,
@@ -223,6 +223,18 @@ def _grid(spec) -> Grid:
                      spec.get("periodic", False))
 
 
+def _merged(default, given):
+    """``given`` over ``default``: an object given for an object default is
+    merged key by key, at every depth, unless it names another ``name`` or
+    ``kind`` than the default, which it then replaces whole; any other value
+    replaces the default."""
+    if not (isinstance(default, dict) and isinstance(given, dict)) or any(
+            key in given and given[key] != default.get(key)
+            for key in ("name", "kind")):
+        return given
+    return {**default, **{k: _merged(default.get(k), v) for k, v in given.items()}}
+
+
 def _plan(raw):
     """(cfg, plan): the config with its scenario's defaults, and every input
     of its run except the numbers (noise, paths, PDE steps), each built or
@@ -240,7 +252,7 @@ def _plan(raw):
     known = set(cfg) | {"scenario", "seed", "out"}
     errors = [f"{key}: not a parameter of scenario {name}"
               for key in raw if key not in known]
-    cfg.update({k: v for k, v in raw.items() if k in known})
+    cfg.update({k: _merged(cfg.get(k), v) for k, v in raw.items() if k in known})
     cfg["scenario"] = name
     cfg.setdefault("seed", 0)
 
@@ -388,20 +400,8 @@ def _x_points(grid, x_span, n_points) -> np.ndarray:
 
 def _initial_density(grid, spec) -> np.ndarray:
     kind = spec.get("kind", "gaussian")
-    mesh = grid.meshgrid()
     if kind == "gaussian":
-        mean = np.atleast_1d(np.asarray(spec.get("mean", 0.0), dtype=float))
-        std = np.atleast_1d(np.asarray(spec.get("std", 1.0), dtype=float))
-        if np.any(std <= 0):
-            raise ValueError(f"gaussian std must be positive, got {spec['std']}")
-        if mean.size == 1:
-            mean = np.repeat(mean, grid.d)
-        if std.size == 1:
-            std = np.repeat(std, grid.d)
-        u = np.ones(grid.shape)
-        for ax in range(grid.d):
-            u = u * np.exp(-0.5 * ((mesh[ax] - mean[ax]) / std[ax]) ** 2)
-        return u
+        return _gaussian(grid, spec.get("mean", 0.0), spec.get("std", 1.0))
     if kind == "spike":
         u = np.zeros(grid.shape)
         idx = tuple(
