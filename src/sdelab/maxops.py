@@ -14,6 +14,7 @@ coefficient-difference inequalities these operators control.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,37 +73,77 @@ class RadiusSchedule:
         return RadiusSchedule(tuple(np.sort(np.concatenate([r, mids]))))
 
 
-def _disc_mask(grid: Grid, r: float) -> np.ndarray:
+# Entries of each per-grid geometry cache below: a run visits a few grids
+# with a dozen radii or a few L values each; not a setting.
+GEOMETRY_CACHE = 64
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE)
+def _disc_spans(grid: Grid, r: float) -> tuple[tuple[int, int], tuple, int]:
+    """(halo, columns, count) of the disc of radius r on a 2-D grid's lattice.
+
+    The disc mask has rows -halo[0]..halo[0] and columns -halo[1]..halo[1];
+    ``columns[b]`` is the (first, last) mask row of column b (every column
+    holds the centre row, so each is one run), and ``count`` is the number
+    of mask nodes.
+    """
     hx, hy = grid.h
     ki, kj = int(r / hx), int(r / hy)
     oi = hx * np.arange(-ki, ki + 1)
     oj = hy * np.arange(-kj, kj + 1)
-    return (oi[:, None] ** 2 + oj[None, :] ** 2) <= r * r + 1e-12
+    mask = (oi[:, None] ** 2 + oj[None, :] ** 2) <= r * r + 1e-12
+    first = np.argmax(mask, axis=0).tolist()
+    last = (2 * ki - np.argmax(mask[::-1], axis=0)).tolist()
+    return (ki, kj), tuple(zip(first, last)), int(np.count_nonzero(mask))
 
 
-def _ball_average(f: np.ndarray, grid: Grid, r: float) -> np.ndarray:
+def _ball_averages(f: np.ndarray, grid: Grid, radii):
+    """Yield the ball average of f at each radius in turn.
+
+    f is extended once, by ``grid.pad`` at the largest halo; each radius reads
+    its own extension as the centred sub-block of that array, which equals
+    ``grid.pad(f, halo)`` value for value. A 2-D yield is a buffer that the
+    next radius overwrites.
+    """
     if grid.d == 1:
         # A running sum in ndimage.uniform_filter1d's order, bit for bit: the
         # first window summed in sequence, then one difference per shift.
-        size = 2 * int(r / grid.h[0]) + 1
-        ext = grid.pad(f, (size // 2,))
-        first = np.cumsum(ext[:size])[-1:]
-        return np.cumsum(np.concatenate([first, ext[size:] - ext[:-size]])) / size
+        ks = [int(r / grid.h[0]) for r in radii]
+        top = max(ks)
+        big = grid.pad(f, (top,))
+        for k in ks:
+            size = 2 * k + 1
+            ext = big[top - k:top + k + f.size]
+            first = np.cumsum(ext[:size])[-1:]
+            yield np.cumsum(np.concatenate([first, ext[size:] - ext[:-size]])) / size
+        return
     # Row spans of one cumulative sum along axis 0 (a summed-area table in
     # one direction, Crow 1984): mask column b covers rows a0..a1, which add
     # up to C[i+a1+1, j+b] - C[i+a0, j+b]. O(n^2 r) work, O(n^2) memory.
-    mask = _disc_mask(grid, r)
-    halo = [(s - 1) // 2 for s in mask.shape]
-    padded = grid.pad(f, halo)
-    C = np.zeros((padded.shape[0] + 1, padded.shape[1]))
-    np.cumsum(padded, axis=0, out=C[1:])
+    # Each radius takes the cumulative sum of its own sub-block: differencing
+    # one table across radii would change the rounding.
+    spans = [_disc_spans(grid, r) for r in radii]
+    top = [max(halo[axis] for halo, _, _ in spans) for axis in (0, 1)]
+    big = grid.pad(f, top)
     n0, n1 = f.shape
-    total = np.zeros(f.shape)
-    for b, column in enumerate(mask.T):
-        rows = np.flatnonzero(column)
-        a0, a1 = rows[0], rows[-1]
-        total += C[a1 + 1:a1 + 1 + n0, b:b + n1] - C[a0:a0 + n0, b:b + n1]
-    return total / np.count_nonzero(mask)
+    C = np.zeros((big.shape[0] + 1, big.shape[1]))
+    total = np.empty(f.shape)
+    tmp = np.empty(f.shape)
+    for (ki, kj), columns, count in spans:
+        ext = big[top[0] - ki:top[0] + ki + n0, top[1] - kj:top[1] + kj + n1]
+        c = C[:ext.shape[0] + 1, :ext.shape[1]]
+        np.cumsum(ext, axis=0, out=c[1:])
+        total.fill(0.0)
+        for b, (a0, a1) in enumerate(columns):
+            np.subtract(c[a1 + 1:a1 + 1 + n0, b:b + n1], c[a0:a0 + n0, b:b + n1],
+                        out=tmp)
+            total += tmp
+        np.divide(total, count, out=total)
+        yield total
+
+
+def _ball_average(f: np.ndarray, grid: Grid, r: float) -> np.ndarray:
+    return next(_ball_averages(f, grid, (r,)))
 
 
 def maximal(f: np.ndarray, grid: Grid,
@@ -123,11 +164,12 @@ def maximal(f: np.ndarray, grid: Grid,
     if schedule is None:
         schedule = RadiusSchedule.geometric(grid)
     out = np.full_like(f, -np.inf)
-    for r in schedule.radii:
-        np.maximum(out, _ball_average(f, grid, r), out=out)
+    for avg in _ball_averages(f, grid, schedule.radii):
+        np.maximum(out, avg, out=out)
     return out
 
 
+@functools.lru_cache(maxsize=GEOMETRY_CACHE)
 def _ml_kernel_2d(grid: Grid, L: float) -> np.ndarray:
     hx, hy = grid.h
     ki, kj = int(np.floor(1.0 / hx + 0.5)), int(np.floor(1.0 / hy + 0.5))
@@ -156,6 +198,7 @@ def _ml_kernel_2d(grid: Grid, L: float) -> np.ndarray:
         pts_r = np.hypot(ci + si[:, None], cj + sj[None, :])
         vals = 1.0 / ((1.0 / L + pts_r) * pts_r)
         w[a, b] = hx * hy * vals.mean()
+    w.flags.writeable = False
     return w
 
 

@@ -403,12 +403,14 @@ def _initial_density(grid, spec) -> np.ndarray:
     if kind == "gaussian":
         return _gaussian(grid, spec.get("mean", 0.0), spec.get("std", 1.0))
     if kind == "spike":
+        position = np.atleast_1d(np.asarray(
+            spec.get("position", (0.0,) * grid.d), dtype=float))
+        if position.shape != (grid.d,) or not np.all(np.isfinite(position)):
+            raise ValueError(f"spike position must have {grid.d} finite "
+                             f"component(s), got {spec.get('position')!r}")
         u = np.zeros(grid.shape)
-        idx = tuple(
-            int(np.argmin(np.abs(grid.nodes(ax) - p)))
-            for ax, p in enumerate(np.atleast_1d(spec.get("position", 0.0)))
-        )
-        u[idx] = 1.0
+        u[tuple(int(np.argmin(np.abs(grid.nodes(ax) - p)))
+                for ax, p in enumerate(position))] = 1.0
         return u
     if kind == "uniform":
         return np.ones(grid.shape)

@@ -29,7 +29,7 @@ from sdelab import (
 )
 from sdelab.fields import PRESET_NAMES
 from sdelab.laws import _gaussian
-from sdelab.runner import _DEFAULTS, _merged, main
+from sdelab.runner import _DEFAULTS, _initial_density, _merged, main
 
 _PDE = ("stationary_1d", "elliptic_energy", "kinetic_langevin")
 
@@ -306,3 +306,43 @@ def test_any_part_of_a_default_merges_back_to_the_default(data):
                                 st.just({"name": "other"}),
                                 st.just({"kind": "other", "std": 1.0})))
     assert _merged(default, other) == other
+
+
+# -- a spike u0 has one finite position component per grid axis ----------------
+
+_BAD_SPIKES = {
+    "three_components_2d": [0, 0, 0],
+    "one_component_2d": [0.5],
+    "non_finite_2d": [0.0, float("nan")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SPIKES))
+def test_bad_spike_position_fails_validate_and_run(case, tmp_path, capsys):
+    cfg = {"scenario": "kinetic_langevin",
+           "u0": {"kind": "spike", "position": _BAD_SPIKES[case]}}
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert exc.value.errors and all(
+        e.startswith("u0:") and "spike position must have 2 finite" in e
+        for e in exc.value.errors), exc.value.errors
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid: u0:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_spike_puts_its_mass_on_one_node():
+    plane = make_grid(2, ((-2.0, 2.0), (-3.0, 3.0)), 16)
+    for spec in ({"kind": "spike", "position": [0.5, -1.0]}, {"kind": "spike"}):
+        assert np.count_nonzero(_initial_density(plane, spec)) == 1
+    line = make_grid(1, (-4.0, 4.0), 64)
+    assert np.array_equal(
+        _initial_density(line, {"kind": "spike", "position": 0.25}),
+        _initial_density(line, {"kind": "spike", "position": [0.25]}))
+    assert np.count_nonzero(
+        _initial_density(line, {"kind": "spike", "position": 0.25})) == 1

@@ -10,8 +10,12 @@ right after it and the scipy modules it loaded. A second line does the same
 for the set-up of the criteria 05-07 fixture, the first ``mollify`` calls of
 the process: the six scales delta = 2^-4 ... 2^-9 of the ``sqrt_diffusion``
 preset on 8192 cells, with the first call's seconds and the six calls' sum.
-Then it prints one JSON line per repetition: the seconds of each stage
-(``noise``, ``euler``, ``histogram``, ``pathwise_h1``) by
+A third line times the 2-D maximal operators on |grad F| of the 2-D OU
+preset on [-4, 4]^2 at 48^2, 128^2 and 256^2 cells: ``maximal`` on its
+default radius schedule and ``maximal_modified`` at L = e, each with the
+seconds of the first (cold-cache) call on that grid and the median of five
+warm calls. Then it prints one JSON line per repetition: the seconds of
+each stage (``noise``, ``euler``, ``histogram``, ``pathwise_h1``) by
 ``time.perf_counter`` and the process's peak RSS so far in MB
 (``resource.getrusage``). The first repetition's ``peak_rss_mb`` is the
 peak of one repetition::
@@ -27,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -73,6 +79,24 @@ def main(argv=None) -> int:
                       "mollify_s": round(sum(calls), 4),
                       "peak_rss_mb": round(_peak_rss_mb(), 1),
                       "scipy_modules": _scipy_modules()}), flush=True)
+
+    maxops = {}
+    for cells in (48, 128, 256):
+        grid = sl.make_grid(2, ((-4.0, 4.0), (-4.0, 4.0)), cells)
+        g = sl.gradient_magnitude(sl.preset_field("ou", {}, grid).drift, grid)
+        for name, op in (("maximal", lambda: sl.maximal(g, grid)),
+                         ("maximal_modified",
+                          lambda: sl.maximal_modified(g, grid, math.e))):
+            calls = []
+            for _ in range(6):
+                t = time.perf_counter()
+                op()
+                calls.append(time.perf_counter() - t)
+            maxops[f"{name}_{cells}"] = {
+                "first_s": round(calls[0], 5),
+                "warm_s": round(statistics.median(calls[1:]), 5)}
+    print(json.dumps({"layer": "maxops_2d", "seconds": maxops,
+                      "peak_rss_mb": round(_peak_rss_mb(), 1)}), flush=True)
 
     grid = sl.make_grid(1, (-6.0, 6.0), 1024)
     field = sl.preset_field("ou", {}, grid)
