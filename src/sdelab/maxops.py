@@ -27,7 +27,6 @@ __all__ = [
     "maximal",
     "maximal_modified",
     "half_derivative",
-    "half_multiplier",
     "gradient",
     "gradient_magnitude",
     "check_pointwise_bound",
@@ -240,12 +239,6 @@ def maximal_modified(g: np.ndarray, grid: Grid, L: float) -> np.ndarray:
     return thr + integral
 
 
-def half_multiplier(n: int, h: float) -> np.ndarray:
-    """|xi|^{1/2} on the rfft frequencies of an n-point grid with spacing h."""
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-    return np.sqrt(np.abs(xi))
-
-
 def half_derivative(sigma: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral half-derivative on a periodic power-of-two 1-D grid."""
     if grid.d != 1:
@@ -261,7 +254,8 @@ def half_derivative(sigma: np.ndarray, grid: Grid) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n,):
         raise ValueError("field shape does not match grid")
-    return np.fft.irfft(np.fft.rfft(sigma) * half_multiplier(n, grid.h[0]), n)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h[0])  # multiplier |xi|^{1/2}
+    return np.fft.irfft(np.fft.rfft(sigma) * np.sqrt(np.abs(xi)), n)
 
 
 def gradient(f: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:

@@ -16,13 +16,14 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .fields import Grid, Mollifier, make_grid, mollify, preset_field
+from .fields import Mollifier, make_grid, mollify, preset_field
 from .fpe import (
     _project_initial,
     cfl_cap_1d,
@@ -74,9 +75,6 @@ __all__ = [
 
 MAX_EXIT_FRACTION = 1e-3
 
-# forward-PDE scenarios; each solves with backward-Euler steps (implicit=True)
-_PDE_SCENARIOS = ("elliptic_energy", "stationary_1d", "kinetic_langevin")
-
 
 class ConfigError(ValueError):
     """Carries the full list of validation problems."""
@@ -100,127 +98,44 @@ class RunArtifact:
         return sorted(self.manifest["files"])
 
 
-# -- defaults and validation -------------------------------------------------
-
-_DEFAULTS = {
-    "thm_multidim_convergence": {
-        "preset": {"name": "ou", "params": {}},
-        "grid": {"bounds": [[-4.0, 4.0], [-4.0, 4.0]], "counts": [256, 256],
-                 "periodic": False},
-        "n_paths": 1000,
-        "T": 0.5,
-        "dt": None,
-        "x0": [0.0, 0.0],
-        "deltas": [0.5, 0.25, 0.125, 0.0625],
-        "epsilons": [1e-1, 1e-2],
-        "p": 2.0,
-        "record_every": 4,
-    },
-    "thm_1d_convergence": {
-        "preset": {"name": "sqrt_diffusion", "params": {"kappa": 0.0}},
-        "grid": {"bounds": [[-4.0, 4.0]], "counts": [4096], "periodic": False},
-        "n_paths": 2000,
-        "T": 1.0,
-        "dt": None,
-        "x0": 0.5,
-        "deltas": [0.0625, 0.03125, 0.015625, 0.0078125],
-        "epsilons": [1e-1, 1e-2],
-        "block_eps": [1e-10, 0.5],
-        "p": 2.0,
-        "record_every": 4,
-    },
-    "elliptic_energy": {
-        "preset": {"name": "ou", "params": {}},
-        "grid": {"bounds": [[-8.0, 8.0]], "counts": [512], "periodic": False},
-        "T": 1.0,
-        "dt": None,
-        "u0": {"kind": "gaussian", "mean": 0.0, "std": 2.0},
-        "alphas": [2.0, 4.0],
-        "p": 3.0,
-    },
-    "stationary_1d": {
-        "preset": {"name": "ou", "params": {}},
-        "grid": {"bounds": [[-6.0, 6.0]], "counts": [1024], "periodic": False},
-        "T": 5.0,
-        "dt": None,
-        "u0": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
-        "C": 0.5,
-        "rtol": 1e-6,
-    },
-    "kinetic_langevin": {
-        "preset": {"name": "kinetic_langevin",
-                   "params": {"beta": 1.0, "temp": 0.5}},
-        "grid": {"bounds": [[-2.0, 2.0], [-3.0, 3.0]], "counts": [128, 128],
-                 "periodic": False},
-        "T": 0.3,
-        "dt": None,
-        "u0": {"kind": "gaussian", "mean": [0.0, 0.0], "std": [0.3, 0.5]},
-    },
-    "ae_uniqueness_map": {
-        "preset": {"name": "ou", "params": {}},
-        "grid": {"bounds": [[-6.0, 6.0]], "counts": [8192], "periodic": False},
-        "deltas": [0.015625, 0.00390625],
-        "epsilons": [1e-1, 1e-2, 1e-3],
-        "n_points": 64,
-        "n_paths": 200,
-        "T": 1.0,
-        "dt": None,
-        "threshold": 0.02,
-        "x_span": 0.5,
-    },
-    "norm_audit": {
-        "preset": {"name": "sqrt_diffusion", "params": {"kappa": 0.0}},
-        "grid": {"bounds": [[-4.0, 4.0]], "counts": [2048], "periodic": True},
-        "T": 1.0,
-        "law": {"mean": 0.0, "std": 1.0},
-        "deltas": [0.0078125, 0.015625, 0.03125, 0.0625],
-        "probe_kind": "Hhalf",
-        "L_grid": None,
-    },
-}
-
-SCENARIOS = {
-    "thm_multidim_convergence":
-        "shared-noise Cauchy matrix and Q sweep across a 2-D mollification family",
-    "thm_1d_convergence":
-        "1-D coupled convergence: Cauchy matrix, Q and weighted-Q sweeps, dyadic blocks",
-    "elliptic_energy":
-        "forward-PDE solve with the moment-growth audit between stamps",
-    "stationary_1d":
-        "forward-PDE solve checked against the pointwise stationary envelope",
-    "kinetic_langevin":
-        "phase-space solve with maximum-principle and v-variance checks",
-    "ae_uniqueness_map":
-        "per-initial-point coupling gap and its a-priori integrand",
-    "norm_audit":
-        "the four weighted norms of a preset plus semicontinuity probes",
-}
+@dataclass(frozen=True)
+class _Scenario:
+    """What ``list-scenarios`` prints, the default config, the plan pieces
+    ``piece(cfg, plan)`` that ``_plan`` walks, the ``body(cfg, plan, emit)``
+    of the run, and the (least, most) number of ``deltas``, checked with the
+    single values so that its error is listed with theirs."""
+    description: str
+    defaults: dict
+    pieces: tuple
+    body: Callable
+    n_deltas: tuple = (0, None)
 
 
-def _positive(cfg, key, errors, integer=False):
-    v = cfg.get(key)
-    if v is None:
-        return
-    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-    if integer:
-        ok = ok and isinstance(v, int)
-    if not ok:
-        errors.append(f"{key}: must be a positive {'integer' if integer else 'number'}")
+# -- validation ---------------------------------------------------------------
+
+# the keys read inside each config object, a u0's by its kind
+_KEYS = {"grid": ("bounds", "counts", "periodic"), "preset": ("name", "params"),
+         "law": ("mean", "std"), "u0 gaussian": ("kind", "mean", "std"),
+         "u0 spike": ("kind", "position"), "u0 uniform": ("kind",)}
 
 
-def _built(key, fn, *args):
-    """fn(*args); what it raises for a bad value becomes a ConfigError
-    keyed by the config field ``key``."""
+def _number(v) -> bool:
+    """A finite number: no JSON boolean, NaN, infinity or integer beyond
+    the float range."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and \
+        abs(v) <= sys.float_info.max
+
+
+def _built(key, fn, *args, overflow=None):
+    """fn(*args); what it raises for a bad value becomes a ConfigError keyed
+    by the config field ``key``, an OverflowError by ``overflow`` if given
+    (a step rule's T/dt past every integer is a horizon T too long)."""
     try:
         return fn(*args)
+    except OverflowError as exc:
+        raise ConfigError([f"{overflow or key}: out of range ({exc})"]) from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"{key}: {exc}"]) from None
-
-
-def _grid(spec) -> Grid:
-    bounds = spec["bounds"]
-    return make_grid(len(bounds), [tuple(b) for b in bounds], spec["counts"],
-                     spec.get("periodic", False))
 
 
 def _merged(default, given):
@@ -235,20 +150,85 @@ def _merged(default, given):
     return {**default, **{k: _merged(default.get(k), v) for k, v in given.items()}}
 
 
+# -- plan pieces ----------------------------------------------------------------
+
+def _forward_pde(cap, monitor=None):
+    """A forward PDE's explicit cap ``cap``, implicit steps and ``u0``, and
+    the ``monitor(cfg, field, law0)`` pre-check on its projected law."""
+    def piece(cfg, plan):
+        grid, field = plan["grid"], plan["field"]
+        _built("grid", cap, field)
+        _built("dt", plan_steps, field, cfg["T"], cfg["dt"], True, overflow="T")
+        plan["u0"] = _built("u0", _initial_density, grid, cfg["u0"])
+        law0 = Law(grid, [0.0], _built("u0", _project_initial, grid,
+                                       plan["u0"])[None])
+        if monitor is not None:
+            monitor(cfg, field, law0)
+    return piece
+
+
+def _energy_check(cfg, field, law0):
+    _built("alphas, p", energy_monitor, law0, field, cfg["alphas"], cfg["p"])
+
+
+def _stationary_check(cfg, field, law0):
+    _built("C", stationary_bound_check, field, law0, cfg["C"], cfg["rtol"])
+
+
+def _family(cfg, plan):
+    """A shared-noise family's mollified fields, dt and family check, from
+    x0 or, for a uniqueness map, n_paths paths per x-point."""
+    field = plan["field"]
+    plan["fields"] = _built("deltas", lambda: [
+        mollify(field, d) for d in sorted(cfg["deltas"], reverse=True)])
+    plan["dt"] = _built("dt", _pick_dt, cfg["T"], min(
+        stability_cap(f) for f in plan["fields"]), cfg["dt"], overflow="T")
+    x0, n = cfg.get("x0"), cfg["n_paths"]
+    if "n_points" in cfg:
+        plan["x_points"] = _built("x_span", _x_points, plan["grid"],
+                                  cfg["x_span"], cfg["n_points"])
+        x0, n = np.repeat(plan["x_points"], n)[:, None], n * cfg["n_points"]
+        _built("epsilons", _check_uniqueness, cfg["epsilons"])
+    plan["steps"] = _built("x0" if "x0" in cfg else "grid", _check_family,
+                           plan["fields"], x0, cfg["T"], plan["dt"], n,
+                           field.r)[1]
+
+
+def _cauchy(cfg, plan):
+    """Cauchy and Q-ratio checks, and a 1-D family's dyadic blocks."""
+    _built("deltas, p", _check_cauchy, len(plan["fields"]), cfg["p"])
+    _built("epsilons", _log_scales, cfg["epsilons"])
+    if "block_eps" in cfg and plan["grid"].d == 1:
+        plan["schedule"] = _built("block_eps", lambda: dyadic_eps_schedule(
+            *cfg["block_eps"]))
+
+
+def _norm_audit(cfg, plan):
+    """The law, half-derivative grid, probe kind, L_grid and taps."""
+    grid = plan["grid"]
+    plan["law"] = _built("law", lambda w: Law.gaussian(
+        grid, [0.0], w["mean"], w["std"]), cfg["law"])
+    _built("grid", half_derivative, plan["field"].diffusion[:, 0, 0], grid)
+    _built("probe_kind", _check_probe_kind, cfg["probe_kind"])
+    _built("L_grid", _l_grid, cfg["L_grid"])
+    _built("deltas", lambda: [Mollifier(d).taps_1d(grid.h[0])
+                              for d in cfg["deltas"]])
+
+
 def _plan(raw):
     """(cfg, plan): the config with its scenario's defaults, and every input
     of its run except the numbers (noise, paths, PDE steps), each built or
     checked by the library function the run calls. A ConfigError lists every
-    bad value, grid and preset, or else the first input that cannot be
-    built, keyed by the config field(s) it comes from."""
+    bad value, grid and preset, or else the first input the scenario's plan
+    pieces cannot build, keyed by the config field(s) it comes from."""
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     name = raw.get("scenario")
-    if name not in SCENARIOS:
-        raise ConfigError(
-            [f"scenario: {name!r} unknown; choose from {sorted(SCENARIOS)}"]
-        )
-    cfg = json.loads(json.dumps(_DEFAULTS[name]))  # deep copy of defaults
+    record = SCENARIOS.get(name) if isinstance(name, str) else None
+    if record is None:
+        raise ConfigError([f"scenario: {name!r} unknown; choose from "
+                           f"{sorted(SCENARIOS)}"])
+    cfg = json.loads(json.dumps(record.defaults))  # deep copy of defaults
     known = set(cfg) | {"scenario", "seed", "out"}
     errors = [f"{key}: not a parameter of scenario {name}"
               for key in raw if key not in known]
@@ -261,21 +241,34 @@ def _plan(raw):
         errors.append("seed: must be a nonnegative integer")
     counts = ("n_paths", "n_points", "record_every")
     for key in ("T", "dt", "p", "C", "threshold") + counts:
-        _positive(cfg, key, errors, integer=key in counts)
+        v, integer = cfg.get(key), key in counts
+        if v is not None and not (_number(v) and v > 0 and
+                                  (isinstance(v, int) or not integer)):
+            errors.append(f"{key}: must be a " + ("positive integer" if integer
+                          else "finite positive number"))
     for key in ("deltas", "epsilons", "alphas"):
         v = cfg.get(key)
         if v is not None and (not isinstance(v, list) or not v or
-                              any(not isinstance(x, (int, float)) or x <= 0
-                                  for x in v)):
-            errors.append(f"{key}: must be a non-empty list of positive numbers")
-    if name in ("thm_multidim_convergence", "thm_1d_convergence", "norm_audit"):
-        if isinstance(cfg.get("deltas"), list) and len(cfg["deltas"]) < 4:
-            errors.append("deltas: a refinement family needs >= 4 scales")
-    if name == "ae_uniqueness_map":
-        if isinstance(cfg.get("deltas"), list) and len(cfg["deltas"]) != 2:
-            errors.append("deltas: exactly two regularization scales")
+                              not all(_number(x) and x > 0 for x in v)):
+            errors.append(f"{key}: must be a non-empty list of finite "
+                          "positive numbers")
+    least, most = record.n_deltas
+    n = len(cfg["deltas"]) if isinstance(cfg.get("deltas"), list) else least
+    if not least <= n <= (most or n):
+        errors.append(f"deltas: takes {'exactly' if most else 'at least'} "
+                      f"{least} scales")
+    if "rtol" in cfg and not (_number(cfg["rtol"]) and cfg["rtol"] >= 0):
+        errors.append("rtol: must be a finite number >= 0")
+    for key, spec in cfg.items():  # a u0 of unknown kind: _initial_density
+        if isinstance(spec, dict):
+            allowed = _KEYS.get(f"u0 {spec.get('kind', 'gaussian')}"
+                                if key == "u0" else key, spec)
+            errors += [f"{key}: unknown key {k!r}; {key} takes {list(allowed)}"
+                       for k in spec if k not in allowed]
     try:
-        grid = _built("grid", _grid, cfg["grid"])
+        grid = _built("grid", lambda g: make_grid(
+            len(g["bounds"]), [tuple(b) for b in g["bounds"]], g["counts"],
+            g.get("periodic", False)), cfg["grid"])
         field = _built("preset", lambda p: preset_field(
             p.get("name"), p.get("params"), grid), cfg["preset"])
     except ConfigError as exc:
@@ -284,48 +277,8 @@ def _plan(raw):
         raise ConfigError(errors)
 
     plan = {"grid": grid, "field": field}
-    if name in _PDE_SCENARIOS:
-        _built("grid", cfl_cap_kinetic if name == "kinetic_langevin"
-               else cfl_cap_1d, field)
-        _built("dt", plan_steps, field, cfg["T"], cfg["dt"], True)
-        plan["u0"] = _built("u0", _initial_density, grid, cfg["u0"])
-        law0 = Law(grid, [0.0], _built("u0", _project_initial, grid,
-                                       plan["u0"])[None])
-        if name == "elliptic_energy":
-            _built("alphas, p", energy_monitor, law0, field, cfg["alphas"],
-                   cfg["p"])
-        if name == "stationary_1d":
-            _built("C", stationary_bound_check, field, law0, cfg["C"],
-                   cfg["rtol"])
-    if name in ("thm_multidim_convergence", "thm_1d_convergence",
-                "ae_uniqueness_map"):
-        plan["fields"] = _built("deltas", lambda: [
-            mollify(field, d) for d in sorted(cfg["deltas"], reverse=True)])
-        plan["dt"] = _built("dt", _pick_dt, cfg["T"], min(
-            stability_cap(f) for f in plan["fields"]), cfg["dt"])
-        x0, n = cfg.get("x0"), cfg["n_paths"]
-        if name == "ae_uniqueness_map":
-            plan["x_points"] = _built("x_span", _x_points, grid, cfg["x_span"],
-                                      cfg["n_points"])
-            x0, n = np.repeat(plan["x_points"], n)[:, None], n * cfg["n_points"]
-            _built("epsilons", _check_uniqueness, cfg["epsilons"])
-        plan["steps"] = _built("x0" if "x0" in cfg else "grid", _check_family,
-                               plan["fields"], x0, cfg["T"], plan["dt"], n,
-                               field.r)[1]
-        if name != "ae_uniqueness_map":
-            _built("deltas, p", _check_cauchy, len(plan["fields"]), cfg["p"])
-            _built("epsilons", _log_scales, cfg["epsilons"])
-        if "block_eps" in cfg and grid.d == 1:
-            plan["schedule"] = _built("block_eps", lambda: dyadic_eps_schedule(
-                *cfg["block_eps"]))
-    if name == "norm_audit":
-        plan["law"] = _built("law", lambda w: Law.gaussian(
-            grid, [0.0], w["mean"], w["std"]), cfg["law"])
-        _built("grid", half_derivative, field.diffusion[:, 0, 0], grid)
-        _built("probe_kind", _check_probe_kind, cfg["probe_kind"])
-        _built("L_grid", _l_grid, cfg["L_grid"])
-        _built("deltas", lambda: [Mollifier(d).taps_1d(grid.h[0])
-                                  for d in cfg["deltas"]])
+    for piece in record.pieces:
+        piece(cfg, plan)
     return cfg, plan
 
 
@@ -525,8 +478,7 @@ def _scn_kinetic(cfg, plan, emit: _Emitter):
 
 def _scn_uniqueness(cfg, plan, emit: _Emitter):
     x_points = plan["x_points"]
-    store = BrownianStore.generate(cfg["seed"],
-                                   cfg["n_points"] * cfg["n_paths"],
+    store = BrownianStore.generate(cfg["seed"], cfg["n_points"] * cfg["n_paths"],
                                    plan["steps"], plan["dt"], plan["field"].r)
     rep = uniqueness_map(x_points, *plan["fields"], cfg["epsilons"], cfg["T"],
                          cfg["n_paths"], store, base_field=plan["field"],
@@ -540,8 +492,7 @@ def _scn_uniqueness(cfg, plan, emit: _Emitter):
 
 def _scn_norm_audit(cfg, plan, emit: _Emitter):
     grid, field, law, T = plan["grid"], plan["field"], plan["law"], cfg["T"]
-    sig = field.diffusion[:, 0, 0]
-    F = field.drift
+    sig, F = field.diffusion[:, 0, 0], field.drift
     values = {
         "H1": h1_norm(sig, law, T),
         "W11": w11_norm(F, law, T),
@@ -556,14 +507,66 @@ def _scn_norm_audit(cfg, plan, emit: _Emitter):
                 [(k, v.value) for k, v in values.items()])
 
 
-_SCENARIO_FN = {
-    "thm_multidim_convergence": _scn_convergence,
-    "thm_1d_convergence": _scn_convergence,
-    "elliptic_energy": _scn_elliptic_energy,
-    "stationary_1d": _scn_stationary,
-    "kinetic_langevin": _scn_kinetic,
-    "ae_uniqueness_map": _scn_uniqueness,
-    "norm_audit": _scn_norm_audit,
+SCENARIOS = {
+    "thm_multidim_convergence": _Scenario(
+        "shared-noise Cauchy matrix and Q sweep across a 2-D mollification family",
+        {"preset": {"name": "ou", "params": {}},
+         "grid": {"bounds": [[-4.0, 4.0], [-4.0, 4.0]], "counts": [256, 256],
+                  "periodic": False},
+         "n_paths": 1000, "T": 0.5, "dt": None, "x0": [0.0, 0.0],
+         "deltas": [0.5, 0.25, 0.125, 0.0625], "epsilons": [1e-1, 1e-2],
+         "p": 2.0, "record_every": 4},
+        (_family, _cauchy), _scn_convergence, n_deltas=(4, None)),
+    "thm_1d_convergence": _Scenario(
+        "1-D coupled convergence: Cauchy matrix, Q and weighted-Q sweeps, dyadic blocks",
+        {"preset": {"name": "sqrt_diffusion", "params": {"kappa": 0.0}},
+         "grid": {"bounds": [[-4.0, 4.0]], "counts": [4096], "periodic": False},
+         "n_paths": 2000, "T": 1.0, "dt": None, "x0": 0.5,
+         "deltas": [0.0625, 0.03125, 0.015625, 0.0078125],
+         "epsilons": [1e-1, 1e-2], "block_eps": [1e-10, 0.5], "p": 2.0,
+         "record_every": 4},
+        (_family, _cauchy), _scn_convergence, n_deltas=(4, None)),
+    "elliptic_energy": _Scenario(
+        "forward-PDE solve with the moment-growth audit between stamps",
+        {"preset": {"name": "ou", "params": {}},
+         "grid": {"bounds": [[-8.0, 8.0]], "counts": [512], "periodic": False},
+         "T": 1.0, "dt": None,
+         "u0": {"kind": "gaussian", "mean": 0.0, "std": 2.0},
+         "alphas": [2.0, 4.0], "p": 3.0},
+        (_forward_pde(cfl_cap_1d, _energy_check),), _scn_elliptic_energy),
+    "stationary_1d": _Scenario(
+        "forward-PDE solve checked against the pointwise stationary envelope",
+        {"preset": {"name": "ou", "params": {}},
+         "grid": {"bounds": [[-6.0, 6.0]], "counts": [1024], "periodic": False},
+         "T": 5.0, "dt": None,
+         "u0": {"kind": "gaussian", "mean": 0.0, "std": 1.0},
+         "C": 0.5, "rtol": 1e-6},
+        (_forward_pde(cfl_cap_1d, _stationary_check),), _scn_stationary),
+    "kinetic_langevin": _Scenario(
+        "phase-space solve with maximum-principle and v-variance checks",
+        {"preset": {"name": "kinetic_langevin",
+                    "params": {"beta": 1.0, "temp": 0.5}},
+         "grid": {"bounds": [[-2.0, 2.0], [-3.0, 3.0]], "counts": [128, 128],
+                  "periodic": False},
+         "T": 0.3, "dt": None,
+         "u0": {"kind": "gaussian", "mean": [0.0, 0.0], "std": [0.3, 0.5]}},
+        (_forward_pde(cfl_cap_kinetic),), _scn_kinetic),
+    "ae_uniqueness_map": _Scenario(
+        "per-initial-point coupling gap and its a-priori integrand",
+        {"preset": {"name": "ou", "params": {}},
+         "grid": {"bounds": [[-6.0, 6.0]], "counts": [8192], "periodic": False},
+         "deltas": [0.015625, 0.00390625], "epsilons": [1e-1, 1e-2, 1e-3],
+         "n_points": 64, "n_paths": 200, "T": 1.0, "dt": None,
+         "threshold": 0.02, "x_span": 0.5},
+        (_family,), _scn_uniqueness, n_deltas=(2, 2)),
+    "norm_audit": _Scenario(
+        "the four weighted norms of a preset plus semicontinuity probes",
+        {"preset": {"name": "sqrt_diffusion", "params": {"kappa": 0.0}},
+         "grid": {"bounds": [[-4.0, 4.0]], "counts": [2048], "periodic": True},
+         "T": 1.0, "law": {"mean": 0.0, "std": 1.0},
+         "deltas": [0.0078125, 0.015625, 0.03125, 0.0625],
+         "probe_kind": "Hhalf", "L_grid": None},
+        (_norm_audit,), _scn_norm_audit, n_deltas=(4, None)),
 }
 
 
@@ -574,7 +577,7 @@ def run_scenario(config: dict, out_dir=None, seed=None) -> RunArtifact:
     emit = _Emitter(out)
     complete = True
     try:
-        _SCENARIO_FN[cfg["scenario"]](cfg, plan, emit)
+        SCENARIOS[cfg["scenario"]].body(cfg, plan, emit)
     except Exception:
         complete = False
         raise
@@ -604,11 +607,6 @@ def emit_plotdata(artifact: RunArtifact) -> list:
 
 # -- CLI -----------------------------------------------------------------------
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sdelab",
@@ -626,11 +624,12 @@ def main(argv=None) -> int:
 
     if args.command == "list-scenarios":
         for name in sorted(SCENARIOS):
-            print(f"{name}: {SCENARIOS[name]}")
+            print(f"{name}: {SCENARIOS[name].description}")
         return 0
 
     try:
-        raw = _load_config(args.config)
+        with open(args.config) as fh:
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from sdelab import (
     validate_config,
 )
 from sdelab.fields import PRESET_NAMES
-from sdelab.runner import _DEFAULTS, _plan, main
+from sdelab.runner import _plan, main
 from sdelab.sde import BrownianStore, stability_cap
 
 _2D = {"bounds": [[-4.0, 4.0], [-4.0, 4.0]], "counts": [64, 64],
@@ -161,7 +161,7 @@ def _x0(draw, n_paths, d):
 def tiny_configs(draw, name):
     """A small config of scenario ``name``, near its defaults but with every
     drawn key free to leave them."""
-    default = _DEFAULTS[name]
+    default = SCENARIOS[name].defaults
     cfg = {"scenario": name, "grid": _grid(draw, default["grid"]),
            "T": draw(st.floats(0.01, 0.1))}
     d = len(cfg["grid"]["counts"])

@@ -1,8 +1,11 @@
 """The last config keys ``run`` used to reject after ``validate`` accepted
 them: ``p`` of the convergence scenarios, ``probe_kind`` and ``L_grid`` of
 ``norm_audit``, and epsilons at or above 1, whose Q growth ratio divides by
-|log eps|. Each is a ConfigError keyed by its field, exit status 2 from both
-commands, no traceback and no run tree."""
+|log eps|. Also values that ran silently or with a traceback: NaN, infinite
+and boolean numbers, a horizon or scale that overflows, a key inside
+grid, preset, law or u0 that nothing reads, a bad ``rtol`` and a scenario
+that is not a name. Each is a ConfigError keyed by its field, exit status 2
+from both commands, no traceback and no run tree."""
 
 import json
 
@@ -25,6 +28,28 @@ UNPLANNED = {
                         "n_paths": 20, "T": 0.125}, "epsilons"),
     "epsilon_above_one_2d": ({"scenario": "thm_multidim_convergence",
                               "epsilons": [0.1, 2.0]}, "epsilons"),
+    "epsilon_nan": ({"scenario": "thm_1d_convergence",
+                     "epsilons": [float("nan")]}, "epsilons"),
+    "delta_boolean": ({"scenario": "thm_1d_convergence",
+                       "deltas": [0.0625, 0.03125, 0.015625, True]}, "deltas"),
+    "T_infinite": ({"scenario": "norm_audit", "T": float("inf")}, "T"),
+    "T_overflows_sde_steps": ({"scenario": "thm_1d_convergence", "T": 1e308},
+                              "T"),
+    "T_overflows_pde_steps": ({"scenario": "kinetic_langevin", "T": 1e308},
+                              "T"),
+    "delta_overflows_taps": ({"scenario": "thm_1d_convergence",
+                              "deltas": [1e308, 0.03125, 0.015625, 0.0078125]},
+                             "deltas"),
+    "grid_key_unread": ({"scenario": "thm_1d_convergence",
+                         "grid": {"cuonts": [3]}}, "grid"),
+    "preset_key_unread": ({"scenario": "elliptic_energy",
+                           "preset": {"name": "ou", "parms": {}}}, "preset"),
+    "law_key_unread": ({"scenario": "norm_audit", "law": {"sd": 3}}, "law"),
+    "u0_key_unread": ({"scenario": "stationary_1d",
+                       "u0": {"kind": "gaussian", "sdt": 3.0}}, "u0"),
+    "rtol_negative": ({"scenario": "stationary_1d", "rtol": -1}, "rtol"),
+    "rtol_not_a_number": ({"scenario": "stationary_1d", "rtol": "x"}, "rtol"),
+    "scenario_not_a_name": ({"scenario": ["norm_audit"]}, "scenario"),
 }
 
 

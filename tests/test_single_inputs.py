@@ -29,7 +29,7 @@ from sdelab import (
 )
 from sdelab.fields import PRESET_NAMES
 from sdelab.laws import _gaussian
-from sdelab.runner import _DEFAULTS, _initial_density, _merged, main
+from sdelab.runner import SCENARIOS, _initial_density, _merged, main
 
 _PDE = ("stationary_1d", "elliptic_energy", "kinetic_langevin")
 
@@ -296,9 +296,9 @@ def _part_of(draw, value):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_any_part_of_a_default_merges_back_to_the_default(data):
-    name = data.draw(st.sampled_from(sorted(_DEFAULTS)))
-    key = data.draw(st.sampled_from(sorted(_DEFAULTS[name])))
-    default = _DEFAULTS[name][key]
+    name = data.draw(st.sampled_from(sorted(SCENARIOS)))
+    key = data.draw(st.sampled_from(sorted(SCENARIOS[name].defaults)))
+    default = SCENARIOS[name].defaults[key]
     assert _merged(default, data.draw(_part_of(default))) == default
     # anything but an object, or an object naming another name or kind,
     # replaces the default whole

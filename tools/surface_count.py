@@ -9,8 +9,8 @@ imported, so numpy need not be installed):
   public methods it defines itself, static and class methods included;
   ``self`` and ``cls`` excluded), with the number that have a default. A
   dataclass constructor takes its fields (those of dataclass bases first);
-- the config keys of each scenario (``runner._DEFAULTS``), as dotted paths
-  to their leaves.
+- the config keys of each scenario (the defaults literal of each record
+  of ``runner.SCENARIOS``), as dotted paths to their leaves.
 
 Run ``python3 tools/surface_count.py [--src DIR]``; ``--src`` (default:
 this checkout's ``src``) is the source directory to count, so two trees
@@ -115,10 +115,13 @@ def main(argv=None) -> int:
     print(f"{'total':<12} {lines:>6} {settable:>9} {default:>8}")
 
     runner = trees[args.src / "sdelab" / "runner.py"]
-    scenarios = next(ast.literal_eval(s.value) for s in runner.body
-                     if isinstance(s, ast.Assign) and any(
-                         isinstance(t, ast.Name) and t.id == "_DEFAULTS"
-                         for t in s.targets))
+    table = next(s.value for s in runner.body
+                 if isinstance(s, ast.Assign) and any(
+                     isinstance(t, ast.Name) and t.id == "SCENARIOS"
+                     for t in s.targets))
+    # each record is _Scenario(description, defaults, pieces, body, ...)
+    scenarios = {ast.literal_eval(k): ast.literal_eval(v.args[1])
+                 for k, v in zip(table.keys, table.values)}
     print("config keys (besides scenario, seed, out):")
     for name in sorted(scenarios):
         keys = sorted(_leaves(scenarios[name]))
