@@ -108,7 +108,10 @@ def make_grid(d, bounds, counts, periodic=False) -> Grid:
     for c in counts:
         if int(c) != c or c < MIN_CELLS:
             raise ValueError(f"cell count must be an integer >= {MIN_CELLS}, got {c}")
-    return Grid(tuple(lower), tuple(upper), tuple(int(c) for c in counts), periodic)
+    grid = Grid(tuple(lower), tuple(upper), tuple(int(c) for c in counts), periodic)
+    if np.prod(grid.shape, dtype=float) > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"a grid of {grid.shape} nodes is too large for an array")
+    return grid
 
 
 def _check_psd(a: np.ndarray) -> None:
@@ -150,7 +153,10 @@ class CoefficientField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "diffusion", diffusion)
-        _check_psd(self.a)
+        a = 0.5 * np.einsum("...ik,...jk->...ij", diffusion, diffusion)
+        a.flags.writeable = False
+        object.__setattr__(self, "_a", a)
+        _check_psd(a)
 
     @property
     def r(self) -> int:
@@ -158,8 +164,9 @@ class CoefficientField:
 
     @property
     def a(self) -> np.ndarray:
-        """a = sigma sigma*/2, shape grid.shape + (d, d)."""
-        return 0.5 * np.einsum("...ik,...jk->...ij", self.diffusion, self.diffusion)
+        """a = sigma sigma*/2, shape grid.shape + (d, d); computed once, by
+        ``__post_init__``, and read-only."""
+        return self._a
 
     @property
     def sup_drift(self) -> float:

@@ -10,10 +10,11 @@ which give the bands of the finite-volume generator A (``_fv_bands``), and
 one step loop, ``_march``. ``_euler_step`` steps du/dt = A u forward, as the
 fluxes' flow across each interface, under the CFL cap min(h/(2 sup|speed|),
 h^2/(4 sup a)) by default, or backward with ``implicit=True`` (I - dt A
-factored once; an M-matrix, as A has nonnegative off-diagonals and zero
-column sums, so positivity and mass hold for any dt, and the default step
-is 0.9 times the transport cap h/(2 sup|speed|)). The kinetic split step is
-three: explicit transport sweeps in x and v (a = 0), then the v-diffusion.
+factored once per process, ``_backward_factor``; an M-matrix, as A has
+nonnegative off-diagonals and zero column sums, so positivity and mass hold
+for any dt, and the default step is 0.9 times the transport cap
+h/(2 sup|speed|)). The kinetic split step is three: explicit transport
+sweeps in x and v (a = 0), then the v-diffusion.
 
 Both solvers return a ``Law`` whose ``scheme`` records the numerics. Monitors:
 pointwise stationary bound, energy inequality for int u^alpha between
@@ -22,6 +23,7 @@ recorded stamps, discrete maximum principle, density/law distances.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,27 +189,67 @@ def _fv_bands(F, a, h: float):
             np.concatenate([left, zero], axis=-1))
 
 
-def _fv_generator(F, a, h: float):
-    """``_fv_bands`` as one sparse matrix, block-tridiagonal over the lines
-    in C order and acting on ``u.reshape(-1)``; every column sums to zero."""
+def _tridiagonal_csc(lower, diag, upper, dt=None):
+    """``_fv_bands`` as one CSC matrix, block-tridiagonal over the lines in C
+    order and acting on ``u.reshape(-1)``: A, or I - dt A given ``dt``
+    (diagonal 1 - dt diag, off-diagonals -(dt x)). Exact zeros are left out,
+    so the arrays are scipy's for ``diags_array`` and ``eye_array - dt A``."""
     from scipy import sparse
-    lower, diag, upper = _fv_bands(F, a, h)
-    return sparse.diags_array(
-        [lower.reshape(-1)[1:], diag.reshape(-1), upper.reshape(-1)[:-1]],
-        offsets=[-1, 0, 1], format="csc")
+    n = diag.size
+    # column j: rows j-1, j, j+1 hold upper_{j-1}, diag_j, lower_{j+1}
+    vals = np.zeros((n, 3))
+    vals[1:, 0] = upper.reshape(-1)[:-1]
+    vals[:, 1] = diag.reshape(-1)
+    vals[:-1, 2] = lower.reshape(-1)[1:]
+    if dt is not None:
+        vals *= -dt
+        vals[:, 1] += 1.0
+    keep = vals != 0.0
+    index = np.int32 if 3 * n <= np.iinfo(np.int32).max else np.int64
+    rows = np.arange(-1, n - 1, dtype=index)[:, None] + np.arange(3, dtype=index)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sparse.csc_array((vals[keep], rows[keep], indptr), shape=(n, n))
+
+
+def _fv_generator(F, a, h: float):
+    """``_fv_bands`` as one sparse matrix A (``_tridiagonal_csc``); every
+    column sums to zero."""
+    return _tridiagonal_csc(*_fv_bands(F, a, h))
+
+
+# Entries of the per-process table of backward-Euler factors: a run visits
+# a few operators, each at one dt; not a setting.
+FACTOR_CACHE = 8
+_FACTORS = {}  # (dt, band bytes) -> SuperLU of I - dt A, least recent first
+_FACTORS_LOCK = threading.Lock()
+
+
+def _backward_factor(lower, diag, upper, dt: float):
+    """The SuperLU factor of I - dt A from the table of the last
+    FACTOR_CACHE operators, keyed by dt and the exact band bytes (they fix
+    the matrix), factored on a miss; the least recently used entry goes."""
+    key = (dt, lower.tobytes(), diag.tobytes(), upper.tobytes())
+    with _FACTORS_LOCK:
+        lu = _FACTORS.pop(key, None)
+        if lu is None:
+            from scipy.sparse import linalg as splinalg
+            lu = splinalg.splu(_tridiagonal_csc(lower, diag, upper, dt),
+                               permc_spec="NATURAL")
+        _FACTORS[key] = lu
+        if len(_FACTORS) > FACTOR_CACHE:
+            del _FACTORS[next(iter(_FACTORS))]
+    return lu
 
 
 def _euler_step(F, a, h: float, dt: float, implicit: bool, flux="upwind"):
     """One Euler step u -> v of du/dt = A u (``_fv_fluxes``) along the last
     axis of u. Forward: the flow dt/h phi_i leaves node i and enters node
     i+1, v in u's memory order (a step of a transposed view copies nothing
-    across). Backward (upwind): solve (I - dt A) v = u, I - dt A factored once."""
+    across). Backward (upwind): solve (I - dt A) v = u with the factor of
+    ``_backward_factor``."""
     if implicit:
-        from scipy import sparse
-        from scipy.sparse import linalg as splinalg
-        A = _fv_generator(F, a, h)
-        lu = splinalg.splu((sparse.eye_array(A.shape[0]) - dt * A).tocsc(),
-                           permc_spec="NATURAL")
+        lu = _backward_factor(*_fv_bands(F, a, h), dt)
         return lambda u: lu.solve(u.reshape(-1)).reshape(u.shape)
     right, left = _fv_fluxes(F, a, h, flux)
 

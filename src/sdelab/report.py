@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -37,18 +38,24 @@ class Serialisable:
         return text
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+@functools.lru_cache(maxsize=64)
+def _template(types: tuple) -> str:
+    """The %-template of a CSV row whose values have these types: %.17g for
+    a float, %s for anything else."""
+    return ",".join("%.17g" if issubclass(t, (float, np.floating)) else "%s"
+                    for t in types) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
-    """A tidy table: a header line, then one line per row; floats as %.17g."""
+    """A tidy table: a header line, then one line per row; floats as %.17g.
+    Each row is formatted by the one template of its value types, and the
+    file is written in one call."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        row = tuple(row)
+        lines.append(_template(tuple(map(type, row))) % row)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join(lines))
 
 
 @dataclass

@@ -126,14 +126,18 @@ def _number(v) -> bool:
         abs(v) <= sys.float_info.max
 
 
-def _built(key, fn, *args, overflow=None):
+def _built(key, fn, *args, overflow=None, memory=None):
     """fn(*args); what it raises for a bad value becomes a ConfigError keyed
     by the config field ``key``, an OverflowError by ``overflow`` if given
-    (a step rule's T/dt past every integer is a horizon T too long)."""
+    (a step rule's T/dt past every integer is a horizon T too long) and a
+    MemoryError by ``memory`` if given (a preset too large for memory is a
+    grid too large)."""
     try:
         return fn(*args)
     except OverflowError as exc:
         raise ConfigError([f"{overflow or key}: out of range ({exc})"]) from None
+    except MemoryError as exc:
+        raise ConfigError([f"{memory or key}: {exc}"]) from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"{key}: {exc}"]) from None
 
@@ -185,9 +189,10 @@ def _family(cfg, plan):
         stability_cap(f) for f in plan["fields"]), cfg["dt"], overflow="T")
     x0, n = cfg.get("x0"), cfg["n_paths"]
     if "n_points" in cfg:
-        plan["x_points"] = _built("x_span", _x_points, plan["grid"],
+        plan["x_points"] = _built("n_points", _x_points, plan["grid"],
                                   cfg["x_span"], cfg["n_points"])
-        x0, n = np.repeat(plan["x_points"], n)[:, None], n * cfg["n_points"]
+        x0 = _built("n_points, n_paths", np.repeat, plan["x_points"], n)
+        x0, n = x0[:, None], n * cfg["n_points"]
         _built("epsilons", _check_uniqueness, cfg["epsilons"])
     plan["steps"] = _built("x0" if "x0" in cfg else "grid", _check_family,
                            plan["fields"], x0, cfg["T"], plan["dt"], n,
@@ -259,6 +264,9 @@ def _plan(raw):
                       f"{least} scales")
     if "rtol" in cfg and not (_number(cfg["rtol"]) and cfg["rtol"] >= 0):
         errors.append("rtol: must be a finite number >= 0")
+    if "x_span" in cfg and not (_number(cfg["x_span"]) and
+                                0 < cfg["x_span"] <= 1):
+        errors.append("x_span: must be a number in (0, 1]")
     for key, spec in cfg.items():  # a u0 of unknown kind: _initial_density
         if isinstance(spec, dict):
             allowed = _KEYS.get(f"u0 {spec.get('kind', 'gaussian')}"
@@ -270,7 +278,8 @@ def _plan(raw):
             len(g["bounds"]), [tuple(b) for b in g["bounds"]], g["counts"],
             g.get("periodic", False)), cfg["grid"])
         field = _built("preset", lambda p: preset_field(
-            p.get("name"), p.get("params"), grid), cfg["preset"])
+            p.get("name"), p.get("params"), grid), cfg["preset"],
+            memory="grid")
     except ConfigError as exc:
         errors += exc.errors
     if errors:
@@ -344,9 +353,7 @@ def _pick_dt(T: float, cap: float, dt_cfg) -> float:
 
 def _x_points(grid, x_span, n_points) -> np.ndarray:
     """n_points evenly spaced initial points over the central fraction
-    x_span in (0, 1] of the box."""
-    if not 0.0 < x_span <= 1.0:
-        raise ValueError(f"x_span must lie in (0, 1], got {x_span}")
+    x_span in (0, 1] of the box (checked by ``_plan``)."""
     span = x_span * (grid.upper[0] - grid.lower[0]) / 2
     return np.linspace(-span, span, n_points) + (grid.upper[0] + grid.lower[0]) / 2
 
@@ -472,8 +479,9 @@ def _scn_kinetic(cfg, plan, emit: _Emitter):
         var = float(np.sum(pv * (v - mean) ** 2) * grid.h[1])
         rows.append((t, mean, var))
     emit.series("v_marginal", ["t", "mean_v", "var_v"], rows)
+    final = Law.from_slices(grid, evo.times[-1:], evo.density[-1:])
     emit.series("x_marginal_final", ["x", "u"],
-                list(zip(grid.nodes(0), evo.as_law().marginal(0).density[-1])))
+                list(zip(grid.nodes(0), final.marginal(0).density[0])))
 
 
 def _scn_uniqueness(cfg, plan, emit: _Emitter):

@@ -50,6 +50,13 @@ UNPLANNED = {
     "rtol_negative": ({"scenario": "stationary_1d", "rtol": -1}, "rtol"),
     "rtol_not_a_number": ({"scenario": "stationary_1d", "rtol": "x"}, "rtol"),
     "scenario_not_a_name": ({"scenario": ["norm_audit"]}, "scenario"),
+    "grid_count_too_large": ({"scenario": "stationary_1d",
+                              "grid": {"counts": [10 ** 30]}}, "grid"),
+    "n_points_too_large": ({"scenario": "ae_uniqueness_map",
+                            "n_points": 10 ** 30}, "n_points"),
+    "kinetic_grid_too_large": ({"scenario": "kinetic_langevin",
+                                "grid": {"counts": [10 ** 12, 10 ** 12]}},
+                               "grid"),
 }
 
 

@@ -14,16 +14,25 @@ A third line times the 2-D maximal operators on |grad F| of the 2-D OU
 preset on [-4, 4]^2 at 48^2, 128^2 and 256^2 cells: ``maximal`` on its
 default radius schedule and ``maximal_modified`` at L = e, each with the
 seconds of the first (cold-cache) call on that grid and the median of five
-warm calls. Then it prints one JSON line per repetition: the seconds of
-each stage (``noise``, ``euler``, ``histogram``, ``pathwise_h1``) by
-``time.perf_counter`` and the process's peak RSS so far in MB
-(``resource.getrusage``). The first repetition's ``peak_rss_mb`` is the
-peak of one repetition::
+warm calls. A fourth line times the backward-Euler operators of the three
+default forward-PDE scenarios at their default implicit dt: the 1-D
+operators of ``stationary_1d`` (1 025 nodes) and ``elliptic_energy`` (513
+nodes) and the kinetic v-diffusion of ``kinetic_langevin`` (129^2 nodes).
+For each it gives the seconds of building and factoring I - dt A the first
+time in the process (``cold_s``), the median of five more builds of the same
+operator (``warm_s``) and the median of twenty backward steps (``step_s``);
+``scipy_import_s`` is the import of ``scipy.sparse.linalg`` before them,
+kept out of the first cold build. Then it prints one JSON line per
+repetition: the seconds of each stage (``noise``, ``euler``, ``histogram``,
+``pathwise_h1``) by ``time.perf_counter`` and the process's peak RSS so far
+in MB (``resource.getrusage``). The first repetition's ``peak_rss_mb`` is
+the peak of one repetition::
 
     python tools/stage_profile.py --paths 100000 --reps 3
     python tools/stage_profile.py --src /path/to/other/src
 
-Standard library and ``sdelab`` only; ``--src`` (default: this checkout's
+Standard library and ``sdelab`` only (with the ``scipy.sparse`` that
+``sdelab``'s backward step loads); ``--src`` (default: this checkout's
 ``src``) is the source directory ``sdelab`` is imported from.
 """
 
@@ -45,6 +54,42 @@ def _peak_rss_mb() -> float:
 
 def _scipy_modules() -> list[str]:
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+def _backward_operators(sl) -> dict:
+    """The fourth line: build, factor and step each default backward-Euler
+    operator (``_euler_step`` with ``implicit=True``)."""
+    from sdelab import fpe
+    t = time.perf_counter()
+    import scipy.sparse.linalg  # noqa: F401
+    scipy_s = time.perf_counter() - t
+    seconds = {}
+    for name in ("stationary_1d", "elliptic_energy", "kinetic_langevin"):
+        defaults = sl.SCENARIOS[name].defaults
+        g, p = defaults["grid"], defaults["preset"]
+        grid = sl.make_grid(len(g["bounds"]), [tuple(b) for b in g["bounds"]],
+                            g["counts"])
+        field = sl.preset_field(p["name"], p["params"], grid)
+        dt = fpe.plan_steps(field, defaults["T"], None, True)[1]
+        if grid.d == 1:
+            F, a = fpe._coeffs_1d(field)
+        else:
+            F, a = 0.0, fpe._kinetic_coeffs(field)[2]
+        builds, steps = [], []
+        for _ in range(6):
+            t = time.perf_counter()
+            step = fpe._euler_step(F, a, grid.h[-1], dt, True)
+            builds.append(time.perf_counter() - t)
+        u = sl.Law.uniform(grid, [0.0]).density[0]
+        for _ in range(20):
+            t = time.perf_counter()
+            step(u)
+            steps.append(time.perf_counter() - t)
+        seconds[name] = {"nodes": grid.shape, "cold_s": round(builds[0], 5),
+                         "warm_s": round(statistics.median(builds[1:]), 5),
+                         "step_s": round(statistics.median(steps), 6)}
+    return {"layer": "backward_euler", "scipy_import_s": round(scipy_s, 4),
+            "seconds": seconds, "peak_rss_mb": round(_peak_rss_mb(), 1)}
 
 
 def main(argv=None) -> int:
@@ -97,6 +142,8 @@ def main(argv=None) -> int:
                 "warm_s": round(statistics.median(calls[1:]), 5)}
     print(json.dumps({"layer": "maxops_2d", "seconds": maxops,
                       "peak_rss_mb": round(_peak_rss_mb(), 1)}), flush=True)
+
+    print(json.dumps(_backward_operators(sl)), flush=True)
 
     grid = sl.make_grid(1, (-6.0, 6.0), 1024)
     field = sl.preset_field("ou", {}, grid)
