@@ -153,20 +153,25 @@ class CoefficientField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "diffusion", diffusion)
-        a = 0.5 * np.einsum("...ik,...jk->...ij", diffusion, diffusion)
-        a.flags.writeable = False
-        object.__setattr__(self, "_a", a)
-        _check_psd(a)
+        _check_psd(self._sigma_sigma())
 
     @property
     def r(self) -> int:
         return self.diffusion.shape[-1]
 
+    def _sigma_sigma(self) -> np.ndarray:
+        return 0.5 * np.einsum("...ik,...jk->...ij", self.diffusion, self.diffusion)
+
     @property
     def a(self) -> np.ndarray:
-        """a = sigma sigma*/2, shape grid.shape + (d, d); computed once, by
-        ``__post_init__``, and read-only."""
-        return self._a
+        """a = sigma sigma*/2, shape grid.shape + (d, d); computed on the
+        first read, then kept read-only (a field never read pays nothing)."""
+        a = self.__dict__.get("_a")
+        if a is None:
+            a = self._sigma_sigma()
+            a.flags.writeable = False
+            object.__setattr__(self, "_a", a)
+        return a
 
     @property
     def sup_drift(self) -> float:

@@ -10,11 +10,10 @@ which give the bands of the finite-volume generator A (``_fv_bands``), and
 one step loop, ``_march``. ``_euler_step`` steps du/dt = A u forward, as the
 fluxes' flow across each interface, under the CFL cap min(h/(2 sup|speed|),
 h^2/(4 sup a)) by default, or backward with ``implicit=True`` (I - dt A
-factored once per process, ``_backward_factor``; an M-matrix, as A has
-nonnegative off-diagonals and zero column sums, so positivity and mass hold
-for any dt, and the default step is 0.9 times the transport cap
-h/(2 sup|speed|)). The kinetic split step is three: explicit transport
-sweeps in x and v (a = 0), then the v-diffusion.
+factored once; an M-matrix, as A has nonnegative off-diagonals and zero
+column sums, so positivity and mass hold for any dt, and the default step
+is 0.9 times the transport cap h/(2 sup|speed|)). The kinetic split step is
+three: explicit transport sweeps in x and v (a = 0), then the v-diffusion.
 
 Both solvers return a ``Law`` whose ``scheme`` records the numerics. Monitors:
 pointwise stationary bound, energy inequality for int u^alpha between
@@ -23,7 +22,6 @@ recorded stamps, discrete maximum principle, density/law distances.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,38 +216,18 @@ def _fv_generator(F, a, h: float):
     return _tridiagonal_csc(*_fv_bands(F, a, h))
 
 
-# Entries of the per-process table of backward-Euler factors: a run visits
-# a few operators, each at one dt; not a setting.
-FACTOR_CACHE = 8
-_FACTORS = {}  # (dt, band bytes) -> SuperLU of I - dt A, least recent first
-_FACTORS_LOCK = threading.Lock()
-
-
-def _backward_factor(lower, diag, upper, dt: float):
-    """The SuperLU factor of I - dt A from the table of the last
-    FACTOR_CACHE operators, keyed by dt and the exact band bytes (they fix
-    the matrix), factored on a miss; the least recently used entry goes."""
-    key = (dt, lower.tobytes(), diag.tobytes(), upper.tobytes())
-    with _FACTORS_LOCK:
-        lu = _FACTORS.pop(key, None)
-        if lu is None:
-            from scipy.sparse import linalg as splinalg
-            lu = splinalg.splu(_tridiagonal_csc(lower, diag, upper, dt),
-                               permc_spec="NATURAL")
-        _FACTORS[key] = lu
-        if len(_FACTORS) > FACTOR_CACHE:
-            del _FACTORS[next(iter(_FACTORS))]
-    return lu
-
-
 def _euler_step(F, a, h: float, dt: float, implicit: bool, flux="upwind"):
     """One Euler step u -> v of du/dt = A u (``_fv_fluxes``) along the last
     axis of u. Forward: the flow dt/h phi_i leaves node i and enters node
     i+1, v in u's memory order (a step of a transposed view copies nothing
-    across). Backward (upwind): solve (I - dt A) v = u with the factor of
-    ``_backward_factor``."""
+    across). Backward (upwind): solve (I - dt A) v = u, I - dt A factored once."""
     if implicit:
-        lu = _backward_factor(*_fv_bands(F, a, h), dt)
+        from scipy.sparse import linalg as splinalg
+        # one-column panels: on a tridiagonal matrix every update is one
+        # scalar segment either way, so the factor is the same to the bit,
+        # without the panel search that is half the 129^2 kinetic factor
+        lu = splinalg.splu(_tridiagonal_csc(*_fv_bands(F, a, h), dt),
+                           permc_spec="NATURAL", panel_size=1)
         return lambda u: lu.solve(u.reshape(-1)).reshape(u.shape)
     right, left = _fv_fluxes(F, a, h, flux)
 
@@ -266,18 +244,22 @@ def _march(grid: Grid, u: np.ndarray, step, steps: int, dt: float,
            record_every: int, **scheme) -> Law:
     """Take ``steps`` steps u -> step(u), clamping each result at zero, and
     record u at 0, every ``record_every`` steps and at the end. The ``Law``
-    carries ``scheme`` after dt and steps, then dt_over_cap and mass_drift."""
+    carries ``scheme`` after dt and steps, then dt_over_cap and mass_drift.
+    Each recorded u is copied once, into its row of the law's density."""
     _check_horizon(record_every=record_every)
-    stamps, slices = [0.0], [u.copy()]
+    recorded = [*range(0, steps + 1, record_every)]
+    if recorded[-1] != steps:
+        recorded.append(steps)
+    density = np.empty((len(recorded),) + u.shape, dtype=u.dtype)
+    density[0], row = u, 1
     for k in range(1, steps + 1):
         u = step(u)
         np.maximum(u, 0.0, out=u)
         if k % record_every == 0 or k == steps:
-            stamps.append(k * dt)
-            slices.append(u.copy())
-    return Law(grid, np.array(stamps), np.array(slices), dict(
+            density[row], row = u, row + 1
+    return Law(grid, np.array([k * dt for k in recorded]), density, dict(
         dt=float(dt), steps=steps, **scheme, dt_over_cap=float(dt) / scheme["cap"],
-        mass_drift=float(grid.cell_volume * (slices[-1].sum() - slices[0].sum()))))
+        mass_drift=float(grid.cell_volume * (density[-1].sum() - density[0].sum()))))
 
 
 def solve_fp_1d(field: CoefficientField, u0, T: float, dt: float | None = None,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -38,6 +39,10 @@ class Serialisable:
         return text
 
 
+# Rows formatted and written per call of write_csv's loop; not a setting.
+CSV_CHUNK = 1024
+
+
 @functools.lru_cache(maxsize=64)
 def _template(types: tuple) -> str:
     """The %-template of a CSV row whose values have these types: %.17g for
@@ -48,14 +53,15 @@ def _template(types: tuple) -> str:
 
 def write_csv(path, header, rows) -> None:
     """A tidy table: a header line, then one line per row; floats as %.17g.
-    Each row is formatted by the one template of its value types, and the
-    file is written in one call."""
-    lines = [",".join(header) + "\n"]
-    for row in rows:
-        row = tuple(row)
-        lines.append(_template(tuple(map(type, row))) % row)
+    Each row is formatted by the one template of its value types; the rows
+    are written CSV_CHUNK at a time, so a generator of rows is never held
+    whole."""
+    rows = map(tuple, rows)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write(",".join(header) + "\n")
+        while chunk := [_template(tuple(map(type, row))) % row
+                        for row in itertools.islice(rows, CSV_CHUNK)]:
+            fh.write("".join(chunk))
 
 
 @dataclass

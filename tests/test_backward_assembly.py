@@ -1,9 +1,8 @@
-"""One assembly and one factor per backward-Euler operator: the direct CSC
-assembler equals scipy's ``diags_array``/``eye_array`` construction array for
-array, a factor from the per-process table solves bit for bit like a fresh
-``splu``, the table stays within ``FACTOR_CACHE`` entries and drops the least
-recently used one. Also the stored, read-only ``CoefficientField.a`` and the
-template CSV writer against the per-value writer it replaced."""
+"""The direct CSC assembly of each backward-Euler operator equals scipy's
+``diags_array``/``eye_array`` construction array for array, and the backward
+step solves bit for bit like a ``splu`` of that construction. Also
+``CoefficientField.a``, computed on the first read and kept read-only, and
+the template CSV writer against the per-value writer it replaced."""
 
 import numpy as np
 import pytest
@@ -13,10 +12,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
-from sdelab import CoefficientField, make_grid, preset_field, solve_fp_1d
-from sdelab import fpe
-from sdelab.fpe import (FACTOR_CACHE, _backward_factor, _fv_bands,
-                        _tridiagonal_csc)
+from sdelab import CoefficientField, make_grid, preset_field
+from sdelab.fpe import _euler_step, _fv_bands, _tridiagonal_csc
 from sdelab.report import write_csv
 
 
@@ -41,17 +38,17 @@ _VALUES = st.one_of(st.just(0.0), st.floats(-5.0, 5.0),
 
 
 @st.composite
-def _bands(draw):
+def _coefficients(draw):
+    """F, a >= 0 and h on 1 to 4 lines of 2 to 40 nodes."""
     lines = draw(st.integers(1, 4))
-    n = draw(st.integers(2, 20))
+    n = draw(st.integers(2, 40))
     F = draw(hnp.arrays(float, (lines, n), elements=_VALUES))
     a = np.abs(draw(hnp.arrays(float, (lines, n), elements=_VALUES)))
-    h = draw(st.sampled_from([1e-3, 0.1, 1.0]))
-    return _fv_bands(F, a, h)
+    return F, a, draw(st.sampled_from([1e-3, 0.1, 1.0]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_bands(), st.sampled_from([None, 1e-3, 0.5, 1e-310, 5e-324]))
+@given(_coefficients().map(lambda c: _fv_bands(*c)), st.sampled_from([None, 1e-3, 0.5, 1e-310, 5e-324]))
 def test_assembler_equals_scipy_construction(bands, dt):
     got = _tridiagonal_csc(*bands, dt)
     want = _scipy_operator(*bands, dt)
@@ -70,66 +67,47 @@ def test_assembler_keeps_a_zero_joint_out():
         assert _same_arrays(M, _scipy_operator(*bands, dt))
 
 
-# -- the factor table -----------------------------------------------------------
+# -- the backward step -----------------------------------------------------------
 
-@pytest.fixture
-def table(monkeypatch):
-    """An empty factor table for the test, the process's own left alone."""
-    fresh = {}
-    monkeypatch.setattr(fpe, "_FACTORS", fresh)
-    return fresh
-
-
-def _kinetic_bands():
-    grid = make_grid(2, ((-2.0, 2.0), (-3.0, 3.0)), 32)
-    field = preset_field("kinetic_langevin", {"beta": 1.0, "temp": 0.5}, grid)
-    return _fv_bands(0.0, field.a[..., 1, 1], grid.h[1])
-
-
-def test_cached_factor_solves_like_a_fresh_splu(table):
-    bands, dt = _kinetic_bands(), 0.01
-    first = _backward_factor(*bands, dt)
-    again = _backward_factor(*(b.copy() for b in bands), dt)
-    assert again is first and len(table) == 1
-    fresh = splinalg.splu(_scipy_operator(*bands, dt), permc_spec="NATURAL")
-    rhs = np.random.default_rng(5).random(bands[1].size)
-    assert np.array_equal(again.solve(rhs), fresh.solve(rhs))
+@settings(max_examples=200, deadline=None)
+@given(_coefficients(), st.sampled_from([1e-3, 0.5, 10.0]),
+       st.integers(0, 2 ** 16))
+def test_backward_step_solves_like_a_default_splu_of_the_scipy_operator(
+        coeffs, dt, seed):
+    """The step's factor (direct assembly, one-column panels) solves bit for
+    bit like ``splu``'s default panels on the ``eye_array - dt A`` matrix."""
+    F, a, h = coeffs
+    step = _euler_step(F, a, h, dt, True)
+    fresh = splinalg.splu(_scipy_operator(*_fv_bands(F, a, h), dt),
+                          permc_spec="NATURAL")
+    u = np.random.default_rng(seed).random(a.shape)
+    assert np.array_equal(step(u), fresh.solve(u.reshape(-1)).reshape(u.shape))
 
 
-def test_repeated_solve_is_bit_identical(table):
-    grid = make_grid(1, (-6.0, 6.0), 256)
-    field = preset_field("ou", {}, grid)
-    u0 = np.exp(-grid.nodes(0) ** 2)
-    first = solve_fp_1d(field, u0, 0.5, implicit=True)
-    second = solve_fp_1d(field, u0, 0.5, implicit=True)  # the table's factor
-    assert len(table) == 1
-    assert np.array_equal(first.density, second.density)
+def test_default_operators_factor_to_the_same_bits():
+    """The L and U of the three default backward-Euler operators, and a solve
+    with them, are the same with one-column panels as with the default."""
+    from sdelab import SCENARIOS, fpe
+    for name in ("stationary_1d", "elliptic_energy", "kinetic_langevin"):
+        defaults = SCENARIOS[name].defaults
+        g, p = defaults["grid"], defaults["preset"]
+        grid = make_grid(len(g["bounds"]), [tuple(b) for b in g["bounds"]],
+                         g["counts"])
+        field = preset_field(p["name"], p["params"], grid)
+        dt = fpe.plan_steps(field, defaults["T"], None, True)[1]
+        F, a = (fpe._coeffs_1d(field) if grid.d == 1
+                else (0.0, fpe._kinetic_coeffs(field)[2]))
+        M = _tridiagonal_csc(*_fv_bands(F, a, grid.h[-1]), dt)
+        one = splinalg.splu(M, permc_spec="NATURAL", panel_size=1)
+        default = splinalg.splu(M, permc_spec="NATURAL")
+        for part in ("L", "U"):
+            got, want = getattr(one, part), getattr(default, part)
+            assert _same_arrays(got, want), (name, part)
+        u = np.random.default_rng(3).random(M.shape[0])
+        assert np.array_equal(one.solve(u), default.solve(u)), name
 
 
-def test_table_is_bounded_and_drops_the_least_recently_used(table):
-    bands = _fv_bands(np.linspace(-1.0, 1.0, 9), np.full(9, 0.5), 0.1)
-    dts = [0.01 * (k + 1) for k in range(FACTOR_CACHE + 3)]
-    first = _backward_factor(*bands, dts[0])
-    for dt in dts[1:]:
-        _backward_factor(*bands, dt)
-        # a hit makes the first the most recent, so it is never the one dropped
-        assert _backward_factor(*bands, dts[0]) is first
-        assert len(table) <= FACTOR_CACHE
-    kept = sorted(key[0] for key in table)
-    assert kept == [dts[0]] + dts[-(FACTOR_CACHE - 1):]
-
-
-def test_table_keys_on_dt_and_band_bytes(table):
-    bands = _fv_bands(np.zeros(9), np.full(9, 0.5), 0.1)
-    lu = _backward_factor(*bands, 0.01)
-    assert _backward_factor(*bands, 0.02) is not lu
-    other = _fv_bands(np.zeros(9), np.full(9, 0.25), 0.1)
-    assert _backward_factor(*other, 0.01) is not lu
-    assert _backward_factor(*bands, 0.01) is lu
-    assert len(table) == 3
-
-
-# -- a, computed once -----------------------------------------------------------
+# -- a, computed on the first read -----------------------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 2 ** 16))
@@ -138,6 +116,7 @@ def test_field_a_is_read_only_and_equals_the_einsum(d, r, seed):
     g = np.random.default_rng(seed)
     field = CoefficientField(grid, g.normal(size=grid.shape + (d,)),
                              g.normal(size=grid.shape + (d, r)))
+    assert "_a" not in vars(field)  # a field never read keeps no a
     a = field.a
     assert a is field.a
     assert not a.flags.writeable
@@ -189,3 +168,20 @@ def test_write_csv_of_array_rows_and_no_rows(tmp_path):
         write_csv(tmp_path / f"{name}_got.csv", ["x", "y", "z"], table)
         assert (tmp_path / f"{name}_got.csv").read_bytes() == \
             (tmp_path / f"{name}_want.csv").read_bytes()
+
+
+def test_write_csv_streams_a_generator(tmp_path):
+    """A generator of rows is written as it is consumed: the writer's peak
+    allocation stays far below the size of the file it writes."""
+    import tracemalloc
+    n = 50_000
+    rows = ((k * 0.1, -k / 3.0, k) for k in range(n))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["x", "y", "k"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "big.csv").stat().st_size
+    assert size > 1_500_000
+    assert peak < size / 4
