@@ -73,7 +73,6 @@ from .runner import (  # noqa: F401
     ConfigError,
     RunArtifact,
     SCENARIOS,
-    emit_plotdata,
     run_scenario,
     validate_config,
 )

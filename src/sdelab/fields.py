@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .report import write_csv
-
 __all__ = [
     "Grid",
     "CoefficientField",
@@ -184,15 +182,6 @@ class CoefficientField:
     @property
     def delta(self) -> float:
         return float(self.provenance.get("delta", 0.0))
-
-    def dump_csv(self, path) -> None:
-        """Node coordinates, drift components, diffusion components."""
-        d = self.grid.d
-        coords = np.stack([m.ravel() for m in self.grid.meshgrid()], axis=1)
-        write_csv(path, [f"x{i}" for i in range(d)] + [f"F{i}" for i in range(d)]
-                  + [f"sigma{i}{j}" for i in range(d) for j in range(self.r)],
-                  np.hstack([coords, self.drift.reshape(-1, d),
-                             self.diffusion.reshape(coords.shape[0], -1)]))
 
 
 def _clip_abs(x):

@@ -65,12 +65,6 @@ class RadiusSchedule:
             r *= 2.0
         return cls(tuple(radii))
 
-    def refine(self) -> "RadiusSchedule":
-        """Double the schedule density (insert geometric midpoints)."""
-        r = np.asarray(self.radii)
-        mids = np.sqrt(r[:-1] * r[1:])
-        return RadiusSchedule(tuple(np.sort(np.concatenate([r, mids]))))
-
 
 # Entries of each per-grid geometry cache below: a run visits a few grids
 # with a dozen radii or a few L values each; not a setting.

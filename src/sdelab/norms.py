@@ -53,7 +53,6 @@ class PhiWeight:
     alone makes the sup infinite for every drift.
     """
 
-    name: str
     fn: callable
 
     def __call__(self, L):
@@ -65,20 +64,7 @@ class PhiWeight:
 
     @classmethod
     def default(cls) -> "PhiWeight":
-        return cls("default", lambda L: L * np.sqrt(1.0 + np.log(L)))
-
-    @classmethod
-    def appendix(cls, psi=None, C: float = 1.0) -> "PhiWeight":
-        """Weight built from a de la Vallee Poussin modulus psi:
-        L/phi(L) = C sqrt(log L)/log L + C sqrt(log L)/psi(sqrt(log L))."""
-        if psi is None:
-            psi = lambda s: s * s  # noqa: E731  (superlinear fallback modulus)
-
-        def fn(L):
-            s = np.sqrt(np.log(L))
-            return L / (C * s / np.log(L) + C * s / psi(s))
-
-        return cls("appendix", fn)
+        return cls(lambda L: L * np.sqrt(1.0 + np.log(L)))
 
     def check_superlinear(self, L_grid) -> None:
         ratio = self(L_grid) / np.asarray(L_grid, dtype=float)

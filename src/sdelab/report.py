@@ -32,11 +32,16 @@ class Serialisable:
     def to_dict(self) -> dict:
         return _jsonable(self)
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+    def to_json(self, path) -> str:
+        return write_json(path, self.to_dict())
+
+
+def write_json(path, payload, sort_keys: bool = False) -> str:
+    """``payload`` (plain JSON values) written to ``path`` as 2-space
+    indented JSON, keys in insertion order or sorted; returns the text."""
+    text = json.dumps(payload, indent=2, sort_keys=sort_keys)
+    Path(path).write_text(text)
+    return text
 
 
 # Rows formatted and written per call of write_csv's loop; not a setting.

@@ -46,11 +46,12 @@ from .norms import (
     w11_norm,
     wphi_weak_norm,
 )
-from .report import Report, _jsonable, write_csv
+from .report import Report, _jsonable, write_csv, write_json
 from .sde import (
     BrownianStore,
     _check_cauchy,
     _check_family,
+    _check_paths,
     _check_uniqueness,
     cauchy_diagnostic,
     dyadic_block_averages,
@@ -69,7 +70,6 @@ __all__ = [
     "RunArtifact",
     "validate_config",
     "run_scenario",
-    "emit_plotdata",
     "main",
 ]
 
@@ -202,6 +202,7 @@ def _family(cfg, plan):
 def _cauchy(cfg, plan):
     """Cauchy and Q-ratio checks, and a 1-D family's dyadic blocks."""
     _built("deltas, p", _check_cauchy, len(plan["fields"]), cfg["p"])
+    _built("n_paths", _check_paths, cfg["n_paths"])
     _built("epsilons", _log_scales, cfg["epsilons"])
     if "block_eps" in cfg and plan["grid"].d == 1:
         plan["schedule"] = _built("block_eps", lambda: dyadic_eps_schedule(
@@ -331,7 +332,7 @@ class _Emitter:
     def json(self, name: str, payload) -> None:
         """An informational report (a dict or dataclass), keys sorted."""
         path = self.out / "reports" / f"{name}.json"
-        path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        write_json(path, _jsonable(payload), sort_keys=True)
         self.files.append(path)
 
     def series(self, name: str, header, rows) -> None:
@@ -600,17 +601,8 @@ def run_scenario(config: dict, out_dir=None, seed=None) -> RunArtifact:
             "passed": bool(all(emit.checks.values())) and complete,
             "complete": complete,
         }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True))
+        write_json(out / "manifest.json", manifest, sort_keys=True)
     return RunArtifact(out, manifest)
-
-
-def emit_plotdata(artifact: RunArtifact) -> list:
-    """Paths of the tidy series tables of a completed run."""
-    if not artifact.manifest.get("complete"):
-        raise ValueError("artifact is incomplete")
-    return [artifact.out_dir / f for f in artifact.files
-            if f.startswith("series/")]
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,8 +38,6 @@ __all__ = [
     "uniqueness_map",
     "coefficient_distance",
 ]
-
-_MAGIC = b"SDLBSTOR"
 
 
 class BrownianStore:
@@ -114,26 +111,6 @@ class BrownianStore:
             "mean": mean, "mean_band": mean_band,
             "var": var, "var_target": self.dt, "var_band": var_band,
         })
-
-    def save(self, path) -> None:
-        header = _MAGIC + struct.pack(
-            "<qqqqd", self.seed, self.n_paths, self.n_steps, self.r, self.dt
-        )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(self.increments.astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "BrownianStore":
-        """The file holds no lineage: a loaded store's finest dt is its own
-        dt, so a saved coarsened store no longer couples to its origin."""
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_MAGIC))
-            if magic != _MAGIC:
-                raise ValueError("not a Brownian store file")
-            seed, n, s, r, dt = struct.unpack("<qqqqd", fh.read(8 * 5))
-            payload = np.frombuffer(fh.read(), dtype="<f8").reshape(n, s, r)
-        return cls(seed, dt, payload.astype(np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,6 +460,12 @@ def coefficient_distance(fieldA: CoefficientField, fieldB: CoefficientField,
     return float(u.time_integral(ds + dF, T))
 
 
+def _check_paths(n_paths: int) -> None:
+    """``cauchy_diagnostic``'s standard errors need two paths."""
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths for a standard error")
+
+
 def _check_cauchy(n_members: int, p: float) -> None:
     """``cauchy_diagnostic``'s checks that need no paths."""
     if n_members < 4:
@@ -499,6 +482,7 @@ def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0) -> Report:
     level is nonincreasing within two standard errors.
     """
     _check_cauchy(len(ensembles), p)
+    _check_paths(ensembles[0].n_paths)
     k = len(ensembles)
     esup = np.zeros((k, k))
     se = np.zeros((k, k))

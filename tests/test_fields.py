@@ -144,12 +144,3 @@ def test_mollify_2d_radial(grid2d):
     # linear drift is invariant away from the boundary layer
     inner = (slice(10, -10), slice(10, -10))
     assert np.allclose(fm.drift[inner], f.drift[inner], atol=1e-8)
-
-
-def test_dump_csv_roundtrip(tmp_path, ou_field):
-    path = tmp_path / "field.csv"
-    ou_field.dump_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (513, 3)
-    assert np.allclose(data[:, 0], ou_field.grid.nodes(0))
-    assert np.allclose(data[:, 1], ou_field.drift[:, 0])

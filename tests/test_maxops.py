@@ -41,13 +41,6 @@ def test_radius_schedule_validation(grid1d):
         RadiusSchedule.geometric(grid1d, r_min=grid1d.h[0] / 4)
 
 
-def test_refine_doubles_density():
-    sched = RadiusSchedule((1.0, 2.0, 4.0))
-    fine = sched.refine()
-    assert len(fine.radii) == 5
-    assert fine.radii[1] == pytest.approx(np.sqrt(2.0))
-
-
 def test_maximal_of_constant_is_constant(grid1d):
     out = maximal(np.full(grid1d.shape, 3.5), grid1d)
     assert np.allclose(out, 3.5)

@@ -63,7 +63,9 @@ def _case(draw):
                          periodic=tuple(draw(st.booleans()) for _ in range(2)))
     schedule = RadiusSchedule.geometric(grid)
     if draw(st.booleans()):
-        schedule = schedule.refine()
+        r = np.asarray(schedule.radii)
+        schedule = RadiusSchedule(tuple(np.sort(np.concatenate(
+            [r, np.sqrt(r[:-1] * r[1:])]))))
     if d == 1 and draw(st.booleans()):
         # windows up to four box widths wrap the extension more than once
         wide = draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=3,

@@ -83,13 +83,6 @@ def test_phi_weight_default_superlinear():
     assert np.all(np.diff(ratio) > 0)
 
 
-def test_phi_weight_appendix_variant():
-    phi = PhiWeight.appendix()
-    L = np.exp(np.arange(1, 9))
-    phi.check_superlinear(L)
-    assert np.all(phi.weight(L) > 0)
-
-
 def test_wphi_weak_norm_reports_argmax():
     F = GRID.nodes(0)[:, None]
     nv = wphi_weak_norm(F, LAW, T=1.0)

@@ -3,9 +3,11 @@ them: ``p`` of the convergence scenarios, ``probe_kind`` and ``L_grid`` of
 ``norm_audit``, and epsilons at or above 1, whose Q growth ratio divides by
 |log eps|. Also values that ran silently or with a traceback: NaN, infinite
 and boolean numbers, a horizon or scale that overflows, a key inside
-grid, preset, law or u0 that nothing reads, a bad ``rtol`` and a scenario
-that is not a name. Each is a ConfigError keyed by its field, exit status 2
-from both commands, no traceback and no run tree."""
+grid, preset, law or u0 that nothing reads, a bad ``rtol``, a scenario
+that is not a name, a one-path convergence run (NaN standard errors) and a
+periodic kinetic grid (the solver's walls do not wrap). Each is a
+ConfigError keyed by its field, exit status 2 from both commands, no
+traceback and no run tree."""
 
 import json
 
@@ -57,6 +59,13 @@ UNPLANNED = {
     "kinetic_grid_too_large": ({"scenario": "kinetic_langevin",
                                 "grid": {"counts": [10 ** 12, 10 ** 12]}},
                                "grid"),
+    "one_path_1d": ({"scenario": "thm_1d_convergence", "n_paths": 1,
+                     "T": 0.25}, "n_paths"),
+    "one_path_2d": ({"scenario": "thm_multidim_convergence", "n_paths": 1},
+                    "n_paths"),
+    "kinetic_periodic_grid": ({"scenario": "kinetic_langevin",
+                               "grid": {"periodic": True, "counts": [32, 32]}},
+                              "grid"),
 }
 
 
@@ -83,6 +92,10 @@ def test_unplanned_key_fails_validate_and_run(case, tmp_path, capsys):
     {"scenario": "norm_audit", "probe_kind": "H1"},
     {"scenario": "norm_audit", "L_grid": [2.75, 10.0]},
     {"scenario": "thm_1d_convergence", "epsilons": [0.999]},
+    {"scenario": "thm_1d_convergence", "n_paths": 2, "T": 0.25},
+    {"scenario": "ae_uniqueness_map", "n_paths": 1},
+    {"scenario": "kinetic_langevin",
+     "grid": {"periodic": False, "counts": [32, 32]}},
 ])
 def test_values_inside_the_rules_still_validate(cfg):
     validate_config(cfg)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sdelab
-from sdelab import ConfigError, SCENARIOS, emit_plotdata, run_scenario, validate_config
+from sdelab import ConfigError, SCENARIOS, run_scenario, validate_config
 from sdelab.runner import main
 
 
@@ -85,8 +85,6 @@ def test_run_scenario_emits_manifest_and_checks(tmp_path):
     assert manifest["checks"]["energy"] is True
     for rel in manifest["files"]:
         assert (tmp_path / "run" / rel).exists()
-    series = emit_plotdata(art)
-    assert series and all(str(p).endswith(".csv") for p in series)
 
 
 def test_run_scenario_seed_override_changes_hash(tmp_path):

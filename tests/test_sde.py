@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sdelab import (
     BrownianStore,
+    cauchy_diagnostic,
     dyadic_block_averages,
     dyadic_eps_schedule,
     l_eps_functional,
@@ -18,6 +19,7 @@ from sdelab import (
     q_functional,
     q_tilde_functional,
     simulate_ensemble,
+    simulate_family,
     uniqueness_map,
 )
 from sdelab.sde import stability_cap
@@ -36,18 +38,6 @@ def test_store_is_deterministic():
     assert np.array_equal(a.increments, b.increments)
     c = BrownianStore.generate(4, 10, 16, 0.01)
     assert not np.array_equal(a.increments, c.increments)
-
-
-def test_store_save_load_roundtrip(tmp_path):
-    store = BrownianStore.generate(7, 20, 32, 0.005, r=2)
-    path = tmp_path / "noise.bin"
-    store.save(path)
-    loaded = BrownianStore.load(path)
-    assert loaded.seed == store.seed
-    assert loaded.dt == store.dt
-    assert np.array_equal(loaded.increments, store.increments)
-    with pytest.raises(ValueError):
-        BrownianStore.load(__file__)
 
 
 def test_store_coarsen_sums_increments():
@@ -207,6 +197,14 @@ def test_dyadic_eps_schedule_shape():
     assert sched[0][1] == 0.5
     with pytest.raises(ValueError):
         dyadic_eps_schedule(0.5, 0.1)
+
+
+def test_cauchy_diagnostic_needs_two_paths(ou_field):
+    """One path has no standard error: a ValueError, not a NaN report."""
+    store = BrownianStore.generate(9, 1, 16, 1.0 / 128.0)
+    family = simulate_family([ou_field] * 4, 0.5, 16 / 128, store)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        cauchy_diagnostic(family)
 
 
 def test_dyadic_block_averages_report():

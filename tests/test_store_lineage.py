@@ -57,18 +57,6 @@ def test_prefix_is_a_coupled_view():
             store.prefix(n)
 
 
-def test_loaded_store_starts_its_own_lineage(tmp_path):
-    store = BrownianStore.generate(7, 6, 16, 1 / 16)
-    coarse = store.coarsen(4)
-    coarse.save(tmp_path / "coarse.bin")
-    loaded = BrownianStore.load(tmp_path / "coarse.bin")
-    assert loaded.lineage == (7, coarse.dt, coarse.n_steps, 1)
-    assert loaded.same_noise_as(BrownianStore.load(tmp_path / "coarse.bin"))
-    assert not loaded.same_noise_as(store)
-    store.save(tmp_path / "fine.bin")
-    assert BrownianStore.load(tmp_path / "fine.bin").same_noise_as(coarse)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 31), n=st.integers(1, 12),
        log_steps=st.integers(0, 5), r=st.integers(1, 2), data=st.data())

@@ -10,7 +10,13 @@ imported, so numpy need not be installed):
   ``self`` and ``cls`` excluded), with the number that have a default. A
   dataclass constructor takes its fields (those of dataclass bases first);
 - the config keys of each scenario (the defaults literal of each record
-  of ``runner.SCENARIOS``), as dotted paths to their leaves.
+  of ``runner.SCENARIOS``), as dotted paths to their leaves;
+- the public names without a caller: every name in a module's ``__all__``,
+  and each public method a class among them defines, whose name no file
+  under ``src``, ``tools`` or ``perfbench`` (next to ``src``) mentions as
+  a word outside import statements, ``__all__`` lists and the name's own
+  definition (its whole body). A text search, so a name that is also
+  another word in use counts as called.
 
 Run ``python3 tools/surface_count.py [--src DIR]``; ``--src`` (default:
 this checkout's ``src``) is the source directory to count, so two trees
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 
@@ -59,17 +66,22 @@ def _params(fn) -> list:
     return [p for p in out if p[0] not in ("self", "cls")]
 
 
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _public_all(tree: ast.Module) -> list:
+    """The names of a module's __all__ (none without one)."""
+    return next((ast.literal_eval(s.value) for s in tree.body if _is_all(s)), [])
+
+
 def _settable(tree: ast.Module, classes: dict) -> list:
     """(name, has default) of every settable value of a module's __all__."""
-    public = []
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
-            public = ast.literal_eval(stmt.value)
     defs = {s.name: s for s in tree.body
             if isinstance(s, (ast.FunctionDef, ast.ClassDef))}
     out = []
-    for name in public:
+    for name in _public_all(tree):
         node = defs.get(name)
         if isinstance(node, ast.FunctionDef):
             out += _params(node)
@@ -84,6 +96,57 @@ def _settable(tree: ast.Module, classes: dict) -> list:
                         for d in m.decorator_list):
                     out += _params(m)
     return out
+
+
+def _definitions(path: Path, tree: ast.Module) -> dict:
+    """Qualified name -> (path, lines of its definition) of every name in
+    the module's __all__ and every public method its classes define."""
+    nodes = {}
+    for n in tree.body:
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            nodes[n.name] = n
+        elif isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name):
+            nodes[n.targets[0].id] = n
+    module, out = path.stem, {}
+    for name in _public_all(tree):
+        node = nodes[name]
+        out[f"{module}.{name}"] = (path, range(node.lineno, node.end_lineno + 1))
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    out[f"{module}.{name}.{m.name}"] = (
+                        path, range(m.lineno, m.end_lineno + 1))
+    return out
+
+
+def _code_lines(path: Path) -> list:
+    """(path, line number, text) of each line of a file that is not part
+    of an import statement or an ``__all__`` list."""
+    text = path.read_text()
+    skip = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+    return [(path, i, line) for i, line in enumerate(text.splitlines(), 1)
+            if i not in skip]
+
+
+def uncalled(src: Path) -> list:
+    """Qualified names of the public names without a caller (see the
+    module docstring), sorted."""
+    paths = sorted((src / "sdelab").glob("*.py"))
+    defs = {}
+    for path in paths:
+        defs.update(_definitions(path, ast.parse(path.read_text())))
+    lines = [entry for root in (src, src.parent / "tools", src.parent / "perfbench")
+             for path in sorted(root.rglob("*.py")) for entry in _code_lines(path)]
+    out = []
+    for qualname, (home, span) in defs.items():
+        word = re.compile(rf"\b{re.escape(qualname.rsplit('.', 1)[1])}\b")
+        if not any(word.search(text) for path, i, text in lines
+                   if not (path == home and i in span)):
+            out.append(qualname)
+    return sorted(out)
 
 
 def _leaves(value, prefix="") -> list:
@@ -126,6 +189,9 @@ def main(argv=None) -> int:
     for name in sorted(scenarios):
         keys = sorted(_leaves(scenarios[name]))
         print(f"  {name} ({len(keys)}): {', '.join(keys)}")
+    print("public names without a caller in src, tools or perfbench:")
+    for qualname in uncalled(args.src):
+        print(f"  {qualname}")
     return 0
 
 
