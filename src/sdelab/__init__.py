@@ -61,7 +61,6 @@ from .sde import (  # noqa: F401
     dyadic_block_averages,
     dyadic_eps_schedule,
     l_eps_functional,
-    linear_ramp,
     plateau_bump,
     q_functional,
     q_tilde_functional,

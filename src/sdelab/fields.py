@@ -179,10 +179,6 @@ class CoefficientField:
     def sup_diffusion(self) -> float:
         return float(np.max(np.linalg.norm(self.diffusion, axis=(-2, -1))))
 
-    @property
-    def delta(self) -> float:
-        return float(self.provenance.get("delta", 0.0))
-
 
 def _clip_abs(x):
     return np.minimum(np.abs(x), 1.0)

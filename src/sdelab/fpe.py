@@ -154,24 +154,20 @@ def plan_steps(field: CoefficientField, T: float, dt: float | None = None,
     return _user_steps(T, dt, limit), dt, cap
 
 
-def _fv_fluxes(F, a, h: float, flux: str = "upwind"):
+def _fv_fluxes(F, a, h: float):
     """(right, left) along the last axis: the flux from node i to node i+1
     is phi_i = right_i u_i + left_i u_{i+1}, du_i/dt = (phi_{i-1} - phi_i)/h
     with zero flux through the boundary; ``F`` (node speeds, F_half on the
     interfaces) and ``a`` broadcast to each other. Upwind: right =
     max(F_half, 0) + a_i/h, left = min(F_half, 0) - a_{i+1}/h, advection
-    plus the flux -(a u)'/h of d^2/dx^2(a u). Centered, for the transport
-    sweeps (a = 0): both are F_half/2."""
+    plus the flux -(a u)'/h of d^2/dx^2(a u)."""
     F, a = np.broadcast_arrays(np.asarray(F, float), np.asarray(a, float))
     F_half = 0.5 * (F[..., :-1] + F[..., 1:])
-    if flux == "upwind":  # in place, so the fluxes keep F's memory order
-        right, left = np.maximum(F_half, 0.0), np.minimum(F_half, 0.0)
-        right += a[..., :-1] / h
-        left -= a[..., 1:] / h
-        return right, left
-    if flux == "centered":
-        return F_half * 0.5, F_half * 0.5
-    raise ValueError(f"unknown flux {flux!r}")
+    # in place, so the fluxes keep F's memory order
+    right, left = np.maximum(F_half, 0.0), np.minimum(F_half, 0.0)
+    right += a[..., :-1] / h
+    left -= a[..., 1:] / h
+    return right, left
 
 
 def _fv_bands(F, a, h: float):
@@ -212,17 +208,11 @@ def _tridiagonal_csc(lower, diag, upper, dt=None):
     return sparse.csc_array((vals[keep], rows[keep], indptr), shape=(n, n))
 
 
-def _fv_generator(F, a, h: float):
-    """``_fv_bands`` as one sparse matrix A (``_tridiagonal_csc``); every
-    column sums to zero."""
-    return _tridiagonal_csc(*_fv_bands(F, a, h))
-
-
-def _euler_step(F, a, h: float, dt: float, implicit: bool, flux="upwind"):
+def _euler_step(F, a, h: float, dt: float, implicit: bool):
     """One Euler step u -> v of du/dt = A u (``_fv_fluxes``) along the last
     axis of u. Forward: the flow dt/h phi_i leaves node i and enters node
     i+1, v in u's memory order (a step of a transposed view copies nothing
-    across). Backward (upwind): solve (I - dt A) v = u, I - dt A factored once."""
+    across). Backward: solve (I - dt A) v = u, I - dt A factored once."""
     if implicit:
         from scipy.sparse import linalg as splinalg
         # one-column panels: on a tridiagonal matrix every update is one
@@ -231,7 +221,7 @@ def _euler_step(F, a, h: float, dt: float, implicit: bool, flux="upwind"):
         lu = splinalg.splu(_tridiagonal_csc(*_fv_bands(F, a, h), dt),
                            permc_spec="NATURAL", panel_size=1)
         return lambda u: lu.solve(u.reshape(-1)).reshape(u.shape)
-    right, left = _fv_fluxes(F, a, h, flux)
+    right, left = _fv_fluxes(F, a, h)
 
     def forward(u):
         flow = dt / h * (right * u[..., :-1] + left * u[..., 1:])
@@ -389,7 +379,6 @@ def cfl_cap_kinetic(field: CoefficientField) -> float:
 
 def solve_kinetic(field: CoefficientField, u0, T: float,
                   dt: float | None = None, record_every: int | None = None,
-                  flux: str = "upwind",
                   implicit: bool = False) -> Law:
     """Dimensional-splitting solve of the phase-space forward equation.
 
@@ -400,37 +389,19 @@ def solve_kinetic(field: CoefficientField, u0, T: float,
     v-diffusion a backward step; the transport sweeps stay explicit, so dt
     is capped by transport alone (``plan_steps``). By default about 50
     steps are recorded.
-
-    ``flux="centered"`` swaps the transport sweeps to a non-monotone centered
-    flux, clamped at zero and renormalised every step (the mass removed is
-    ``scheme["renormalised_mass"]``), so that the maximum-principle check
-    can be shown to fail on a scheme that deserves it.
     """
     grid = field.grid
     speed_x, speed_v, a_vv = _kinetic_coeffs(field)
     hx, hv = grid.h
     u = _project_initial(grid, u0)
     steps, dt, cap = plan_steps(field, T, dt, implicit)
-    sweep_x = _euler_step(speed_x.T, 0.0, hx, dt, False, flux)
-    sweep_v = _euler_step(speed_v, 0.0, hv, dt, False, flux)
+    sweep_x = _euler_step(speed_x.T, 0.0, hx, dt, False)
+    sweep_v = _euler_step(speed_v, 0.0, hv, dt, False)
     diffuse = _euler_step(0.0, a_vv, hv, dt, implicit)
-    masses = []  # each centered step's mass after its clamp at zero
-
-    def step(u):
-        u = diffuse(sweep_v(sweep_x(u.T).T))
-        if flux == "centered":
-            u = np.maximum(u, 0.0)
-            masses.append(grid.cell_volume * u.sum())
-            u = u / masses[-1]
-        return u
-
-    law = _march(grid, u, step, steps, dt,
-                 max(1, steps // 50) if record_every is None else record_every,
-                 flux=flux, method="splitting_kinetic", implicit=implicit,
-                 cap=cap)
-    if flux == "centered":
-        law.scheme["renormalised_mass"] = float(np.sum(masses) - len(masses))
-    return law
+    return _march(grid, u, lambda u: diffuse(sweep_v(sweep_x(u.T).T)), steps,
+                  dt, max(1, steps // 50) if record_every is None else record_every,
+                  flux="upwind", method="splitting_kinetic", implicit=implicit,
+                  cap=cap)
 
 
 def max_principle_check(evolution: Law) -> Report:
@@ -457,28 +428,18 @@ def _final_slice(law: Law, t: float | None):
     return law.density[k]
 
 
-def _resample(values: np.ndarray, src: Grid, dst: Grid) -> np.ndarray:
-    x_src = src.nodes(0)
-    x_dst = dst.nodes(0)
-    out = np.interp(x_dst, x_src, values, left=0.0, right=0.0)
-    mass = dst.cell_volume * out.sum()
-    if abs(mass - 1.0) > 1e-6:
-        raise ValueError(f"resampled mass {mass:.8f} deviates beyond 1e-6")
-    return out / mass
-
-
 def law_compare(lawA: Law, lawB: Law, t: float | None = None) -> dict:
     """L^1 and Wasserstein-1 distances between two 1-D laws.
 
     Compares single density slices (the final stamp by default, or the stamp
-    nearest ``t`` in each law), resampling B onto A's grid if they differ.
+    nearest ``t`` in each law) on one grid.
     """
     if lawA.grid.d != 1 or lawB.grid.d != 1:
         raise ValueError("law_compare works on 1-D laws")
+    if lawB.grid != lawA.grid:
+        raise ValueError("law_compare needs both laws on one grid")
     ua = _final_slice(lawA, t)
     ub = _final_slice(lawB, t)
-    if lawB.grid != lawA.grid:
-        ub = _resample(ub, lawB.grid, lawA.grid)
     h = lawA.grid.h[0]
     l1 = float(h * np.abs(ua - ub).sum())
     cdf_gap = np.cumsum(ua - ub) * h

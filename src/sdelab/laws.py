@@ -95,9 +95,9 @@ def _mass(grid: Grid, slices: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Law:
     """``scheme`` is empty except on solver output: ``dt``, ``steps``,
-    ``flux``, ``method``, ``implicit``, the explicit CFL ``cap``,
-    ``dt_over_cap``, ``mass_drift`` (what the clamps at zero added) and,
-    centered flux only, ``renormalised_mass`` (what renormalising removed)."""
+    ``flux`` (always "upwind"), ``method``, ``implicit``, the explicit CFL
+    ``cap``, ``dt_over_cap`` and ``mass_drift`` (what the clamps at zero
+    added)."""
 
     grid: Grid
     times: np.ndarray       # (nt,)
@@ -159,18 +159,10 @@ class Law:
         return cls(grid, np.atleast_1d(times), cls._normalize(grid, slices))
 
     @classmethod
-    def uniform(cls, grid: Grid, times, support: tuple | None = None) -> "Law":
-        """Uniform density, optionally restricted to a sub-box (d=1)."""
-        if support is None:
-            u = np.ones(grid.shape)
-        else:
-            lo, hi = support
-            x = grid.nodes(0)
-            u = ((x >= lo) & (x <= hi)).astype(float)
-            if grid.d == 2:
-                u = u[:, None] * np.ones(grid.shape[1])
-        return cls.from_slices(grid, times, np.broadcast_to(
-            u, (np.atleast_1d(times).size,) + grid.shape).copy())
+    def uniform(cls, grid: Grid, times) -> "Law":
+        """Uniform density."""
+        return cls.from_slices(grid, times, np.ones(
+            (np.atleast_1d(times).size,) + grid.shape))
 
     @classmethod
     def gaussian(cls, grid: Grid, times, mean: float = 0.0, std: float = 1.0) -> "Law":

@@ -135,10 +135,6 @@ def _ball_averages(f: np.ndarray, grid: Grid, radii):
         yield total
 
 
-def _ball_average(f: np.ndarray, grid: Grid, r: float) -> np.ndarray:
-    return next(_ball_averages(f, grid, (r,)))
-
-
 def maximal(f: np.ndarray, grid: Grid,
             schedule: RadiusSchedule | None = None) -> np.ndarray:
     """Discrete maximal function: max over scheduled radii of ball averages.

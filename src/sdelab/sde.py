@@ -31,7 +31,6 @@ __all__ = [
     "q_tilde_functional",
     "l_eps_functional",
     "plateau_bump",
-    "linear_ramp",
     "cauchy_diagnostic",
     "dyadic_eps_schedule",
     "dyadic_block_averages",
@@ -373,6 +372,7 @@ def _coupled(ensA: PathEnsemble, ensB: PathEnsemble) -> np.ndarray:
 
 
 def _series(kind, params, times, samples) -> FunctionalSeries:
+    _check_paths(samples.shape[0])
     return FunctionalSeries(
         kind, params, times,
         samples.mean(axis=0),
@@ -423,27 +423,14 @@ def plateau_bump(x, eps: float):
     return _smoothstep(s)
 
 
-def linear_ramp(x, eps: float):
-    """|x| above eps, 0 below eps/2, quintic C^2 bridge between."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    s = np.clip((2.0 * ax - eps) / eps, 0.0, 1.0)
-    # a s^3 + b s^4 + c s^5 matching value/slope/curvature of |x| at eps
-    bridge = eps * s ** 3 * (8.0 + s * (-11.5 + 4.5 * s))
-    return np.where(ax >= eps, ax, bridge)
-
-
-def l_eps_functional(ensA: PathEnsemble, ensB: PathEnsemble, eps: float,
-                     flavor: str = "plateau") -> FunctionalSeries:
-    """E[L_eps(Delta_t)] per stamp for the plateau or linear-1d cutoff."""
+def l_eps_functional(ensA: PathEnsemble, ensB: PathEnsemble,
+                     eps: float) -> FunctionalSeries:
+    """E[L_eps(Delta_t)] per stamp for the plateau cutoff ``plateau_bump``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if flavor not in ("plateau", "linear1d"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if flavor == "linear1d" and ensA.grid.d != 1:
-        raise ValueError("linear1d flavor is one-dimensional")
     delta = _coupled(ensA, ensB)
-    fn = plateau_bump if flavor == "plateau" else linear_ramp
-    return _series(f"L_eps[{flavor}]", {"eps": eps}, ensA.times, fn(delta, eps))
+    return _series("L_eps[plateau]", {"eps": eps}, ensA.times,
+                   plateau_bump(delta, eps))
 
 
 # -- convergence and uniqueness diagnostics ----------------------------------
@@ -461,7 +448,8 @@ def coefficient_distance(fieldA: CoefficientField, fieldB: CoefficientField,
 
 
 def _check_paths(n_paths: int) -> None:
-    """``cauchy_diagnostic``'s standard errors need two paths."""
+    """The standard errors of ``_series`` and ``cauchy_diagnostic`` need
+    two paths."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
 

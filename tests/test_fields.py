@@ -54,7 +54,7 @@ def test_preset_names_all_build(grid1d, grid2d):
         f = preset_field(name, {}, g)
         assert f.drift.shape == g.shape + (g.d,)
         assert f.provenance["name"] == name
-        assert f.delta == 0.0
+        assert f.provenance["delta"] == 0.0
 
 
 def test_preset_rejects_unknown_name_and_params(grid1d):
@@ -133,7 +133,7 @@ def test_mollification_smooths_the_kink(grid1d):
     slope = np.abs(np.diff(f.diffusion[:, 0, 0])) / h
     slope_m = np.abs(np.diff(fm.diffusion[:, 0, 0])) / h
     assert slope_m.max() < slope.max()
-    assert fm.delta == 0.25
+    assert fm.provenance["delta"] == 0.25
     # sup norm never grows under unit-mass averaging
     assert fm.sup_diffusion <= f.sup_diffusion + 1e-12
 

@@ -18,7 +18,7 @@ from sdelab import (
     stationary_bound_check,
     validate_config,
 )
-from sdelab.fpe import _fv_generator, plan_steps
+from sdelab.fpe import _fv_bands, _tridiagonal_csc, plan_steps
 
 
 @st.composite
@@ -46,7 +46,7 @@ def test_fv_generator_is_a_conservative_explicit_generator(data, length):
                                np.sqrt(2.0 * a[i])[:, None, None])
               for i in range(lines)]
     a = np.array([f.a[:, 0, 0] for f in fields])
-    dense = _fv_generator(F, a, h).toarray()
+    dense = _tridiagonal_csc(*_fv_bands(F, a, h)).toarray()
     off = dense - np.diag(np.diag(dense))
     assert off.min() >= 0.0
     # columns sum to zero, relative to the column's largest entry
@@ -56,7 +56,7 @@ def test_fv_generator_is_a_conservative_explicit_generator(data, length):
     for i, field in enumerate(fields):
         # one block per line, the single-line generator, nothing between
         block = dense[i * n:(i + 1) * n]
-        A_i = _fv_generator(F[i], a[i], h).toarray()
+        A_i = _tridiagonal_csc(*_fv_bands(F[i], a[i], h)).toarray()
         assert np.array_equal(block[:, i * n:(i + 1) * n], A_i)
         assert np.count_nonzero(block) == np.count_nonzero(A_i)
         if np.abs(F[i]).max() == 0 and a[i].max() == 0:

@@ -2,8 +2,6 @@
 flux-form oracle and against the transport sweep and band formulas it
 replaced; horizon and cadence checks; the laws cauchy_diagnostic builds."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -38,13 +36,11 @@ def _update(u, phi, h, dt):
     return out
 
 
-def _transport(u, speed, flux):
-    """Upwind or centered interface fluxes of the interface-averaged speed."""
+def _transport(u, speed):
+    """Upwind interface fluxes of the interface-averaged speed."""
     s_half = 0.5 * (speed[..., :-1] + speed[..., 1:])
-    if flux == "upwind":
-        return (np.maximum(s_half, 0.0) * u[..., :-1]
-                + np.minimum(s_half, 0.0) * u[..., 1:])
-    return s_half * 0.5 * (u[..., :-1] + u[..., 1:])
+    return (np.maximum(s_half, 0.0) * u[..., :-1]
+            + np.minimum(s_half, 0.0) * u[..., 1:])
 
 
 def _diffusion(u, a, h):
@@ -55,20 +51,17 @@ def _diffusion(u, a, h):
 
 def _fp_step(F, a, h, dt, u):
     """One explicit 1-D step: upwind minus (a u)'/h in one update, clamped."""
-    phi = _transport(u, F, "upwind") + _diffusion(u, a, h)
+    phi = _transport(u, F) + _diffusion(u, a, h)
     return np.maximum(_update(u, phi, h, dt), 0.0)
 
 
-def _kinetic_step(field, dt, u, flux):
-    """One explicit splitting step: x sweep, v sweep, v-diffusion, clamp
-    (and renormalisation for the centered flux)."""
-    (hx, hv), vol = field.grid.h, field.grid.cell_volume
-    u = _update(u.T, _transport(u.T, field.drift[..., 0].T, flux),
-                hx, dt).T
-    u = _update(u, _transport(u, field.drift[..., 1], flux), hv, dt)
+def _kinetic_step(field, dt, u):
+    """One explicit splitting step: x sweep, v sweep, v-diffusion, clamp."""
+    hx, hv = field.grid.h
+    u = _update(u.T, _transport(u.T, field.drift[..., 0].T), hx, dt).T
+    u = _update(u, _transport(u, field.drift[..., 1]), hv, dt)
     u = _update(u, _diffusion(u, field.a[..., 1, 1], hv), hv, dt)
-    u = np.maximum(u, 0.0)
-    return u / (vol * u.sum()) if flux == "centered" else u
+    return np.maximum(u, 0.0)
 
 
 _coeff = st.floats(-5.0, 5.0, allow_subnormal=False)
@@ -96,9 +89,8 @@ def test_explicit_fp_step_matches_the_flux_form_oracle(data, length):
 @given(st.integers(8, 20).flatmap(lambda m: st.tuples(
     hnp.arrays(float, (m + 1, m + 1, 2), elements=_coeff),
     hnp.arrays(float, (m + 1, m + 1), elements=_diff),
-    hnp.arrays(float, (m + 1, m + 1), elements=_dens))),
-    st.sampled_from(["upwind", "centered"]))
-def test_explicit_kinetic_step_matches_the_flux_form_oracle(data, flux):
+    hnp.arrays(float, (m + 1, m + 1), elements=_dens))))
+def test_explicit_kinetic_step_matches_the_flux_form_oracle(data):
     drift, a_vv, u = data
     assume(np.abs(drift).max() > 0 or a_vv.max() > 0)
     m = a_vv.shape[0] - 1
@@ -107,9 +99,8 @@ def test_explicit_kinetic_step_matches_the_flux_form_oracle(data, flux):
     sigma[..., 1, 0] = np.sqrt(2.0 * a_vv)  # noise in v only
     field = CoefficientField(grid, drift, sigma)
     dt = 0.25 * cfl_cap_kinetic(field)
-    u0, u1 = solve_kinetic(field, u, T=dt, dt=dt, flux=flux).density
-    assert np.abs(u1 - _kinetic_step(field, dt, u0, flux)).max() \
-        <= 1e-13 * u0.max()
+    u0, u1 = solve_kinetic(field, u, T=dt, dt=dt).density
+    assert np.abs(u1 - _kinetic_step(field, dt, u0)).max() <= 1e-13 * u0.max()
 
 
 # -- one interface flux: the kinetic sweeps and the bands, pinned ------------
@@ -173,17 +164,6 @@ def test_fv_bands_from_the_fluxes_equal_the_old_band_formulas(data, h):
     F, a = data
     for new, old in zip(_fv_bands(F, a, h), _bands(F, a, h)):
         assert np.array_equal(new, old)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.text(max_size=12).filter(lambda s: s not in ("upwind", "centered")))
-def test_unknown_flux_is_rejected_by_name(flux):
-    _, field, u0 = _pde_cases()[1]
-    named = f"^unknown flux {re.escape(repr(flux))}$"
-    with pytest.raises(ValueError, match=named):
-        _euler_step(np.ones(8), 0.0, 0.1, 0.01, False, flux)
-    with pytest.raises(ValueError, match=named):
-        solve_kinetic(field, u0, 0.05, flux=flux)
 
 
 # -- horizon and recording cadence -------------------------------------------

@@ -19,8 +19,14 @@ def test_law_normalization_and_validation(grid1d):
     assert law.T == 1.0
 
 
+def _indicator(grid, lo, hi):
+    x = grid.nodes(0)
+    return ((x >= lo) & (x <= hi)).astype(float)
+
+
 def test_expectation_and_time_integral(grid1d):
-    law = Law.uniform(grid1d, [0.0, 0.5, 1.0], support=(-1.0, 1.0))
+    law = Law.from_slices(grid1d, [0.0, 0.5, 1.0],
+                          [_indicator(grid1d, -1.0, 1.0)] * 3)
     ones = np.ones(grid1d.shape)
     assert np.allclose(law.expectation(ones), 1.0)
     assert law.time_integral(ones, T=1.0) == pytest.approx(1.0)
@@ -43,7 +49,8 @@ def test_horizon_check(grid1d):
 
 
 def test_smooth_preserves_mass(grid1d):
-    law = Law.uniform(grid1d, [0.0], support=(-0.5, 0.5)).smooth(0.3)
+    law = Law.from_slices(grid1d, [0.0],
+                          _indicator(grid1d, -0.5, 0.5)).smooth(0.3)
     mass = grid1d.cell_volume * law.density.sum()
     assert mass == pytest.approx(1.0, abs=1e-10)
     # smoothing spreads the plateau

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 import sdelab
 from sdelab import RadiusSchedule, make_grid, maximal, maximal_modified
-from sdelab.maxops import _ball_average
+from sdelab.maxops import _ball_averages
 
 
 def _fresh(code: str) -> str:
@@ -61,7 +61,8 @@ def test_ball_average_equals_ndimage_bit_for_bit(line, wide):
     # every scheduled radius, then windows up to four times the grid's width
     radii = RadiusSchedule.geometric(grid).radii
     for r in radii + (wide * grid.box_diameter, grid.h[0] * f.size):
-        assert np.array_equal(_ball_average(f, grid, r), _oracle(f, grid, r))
+        assert np.array_equal(next(_ball_averages(f, grid, (r,))),
+                              _oracle(f, grid, r))
 
 
 # -- misuse fails loudly -------------------------------------------------------

@@ -4,7 +4,7 @@
 each radius reads its own extension as a sub-block of that array; the disc
 spans per (grid, r), as tuples, and the 2-D M_L kernel per (grid, L), as a
 read-only array, are cached. None of it may change a bit: ``maximal`` must
-equal a fold of ``np.maximum`` over one-radius ``_ball_average`` calls, the
+equal a fold of ``np.maximum`` over one-radius ``_ball_averages`` calls, the
 2-D ball average must equal the mask-per-call code it replaced (the oracle
 below), and the 2-D ``maximal_modified`` must keep the digest it had before.
 """
@@ -24,7 +24,7 @@ from sdelab import (
     maximal_modified,
     preset_field,
 )
-from sdelab.maxops import _ball_average, _disc_spans, _ml_kernel_2d
+from sdelab.maxops import _ball_averages, _disc_spans, _ml_kernel_2d
 
 
 def _ball_average_oracle(f, grid, r):
@@ -83,7 +83,7 @@ def test_maximal_is_the_fold_of_one_radius_averages(case):
     grid, schedule, f = case
     fold = np.full(grid.shape, -np.inf)
     for r in schedule.radii:
-        avg = _ball_average(f, grid, r)
+        avg = next(_ball_averages(f, grid, (r,)))
         if grid.d == 2:
             assert np.array_equal(avg, _ball_average_oracle(f, grid, r))
         fold = np.maximum(fold, avg)

@@ -11,7 +11,6 @@ from sdelab import (
     dyadic_block_averages,
     dyadic_eps_schedule,
     l_eps_functional,
-    linear_ramp,
     make_grid,
     mollify,
     plateau_bump,
@@ -158,17 +157,6 @@ def test_plateau_bump_range_and_cutoffs(x, eps):
         assert v == 1.0
 
 
-@settings(max_examples=50, deadline=None)
-@given(x=st.floats(-10, 10), eps=st.floats(1e-4, 1.0))
-def test_linear_ramp_matches_abs_above_eps(x, eps):
-    v = float(linear_ramp(x, eps))
-    assert v >= 0.0
-    if abs(x) >= eps:
-        assert v == pytest.approx(abs(x))
-    if abs(x) <= eps / 2:
-        assert v == 0.0
-
-
 def test_l_eps_dominates_exceedance_probability():
     """E L_eps >= P(|Delta| > eps) holds exactly, sample by sample."""
     ea, eb, _ = _coupled_pair()
@@ -178,14 +166,6 @@ def test_l_eps_dominates_exceedance_probability():
         exceed = (delta > eps).mean(axis=0)
         assert np.all(fs.values >= exceed - 1e-12)
         assert np.all(fs.values <= 1.0 + 1e-12)
-
-
-def test_l_eps_linear_flavor():
-    ea, eb, _ = _coupled_pair()
-    fs = l_eps_functional(ea, eb, 0.1, flavor="linear1d")
-    assert np.all(fs.values >= 0)
-    with pytest.raises(ValueError):
-        l_eps_functional(ea, eb, 0.1, flavor="cubic")
 
 
 def test_dyadic_eps_schedule_shape():
@@ -205,6 +185,20 @@ def test_cauchy_diagnostic_needs_two_paths(ou_field):
     family = simulate_family([ou_field] * 4, 0.5, 16 / 128, store)
     with pytest.raises(ValueError, match="at least 2 paths"):
         cauchy_diagnostic(family)
+
+
+@pytest.mark.parametrize("functional", [
+    q_functional,
+    l_eps_functional,
+    lambda ea, eb, eps: q_tilde_functional(ea, eb, eps,
+                                           np.ones(ea.grid.shape)),
+], ids=["q", "l_eps", "q_tilde"])
+def test_pairwise_functionals_need_two_paths(ou_field, functional):
+    """One path has no standard error: a ValueError, not a NaN series."""
+    store = BrownianStore.generate(9, 1, 16, 1.0 / 128.0)
+    ea, eb = simulate_family([ou_field] * 2, 0.5, 16 / 128, store)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        functional(ea, eb, 0.1)
 
 
 def test_dyadic_block_averages_report():

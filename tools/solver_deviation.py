@@ -6,8 +6,6 @@ Each tree runs the same solves in its own subprocess:
   (``tests/test_acceptance.py``): the heat kernel, the T = 5 OU relaxation
   and the OU solve against Monte Carlo (08), heat and OU under the energy
   monitor (09), free transport and v-diffusion in phase space (10);
-- the centered-flux kinetic solve of a discontinuous bump from
-  ``tests/test_fpe.py``, the one solve of the centered transport flux;
 - the backward-Euler solves of the three default forward-PDE scenarios
   (``stationary_1d``, ``elliptic_energy``, ``kinetic_langevin``), built
   from the scenario's default config as ``sdelab run`` builds them.
@@ -56,10 +54,6 @@ def _solves(sl):
         xx, vv = grid.meshgrid()
         return np.exp(-0.5 * (xx / 0.3) ** 2 - 0.5 * (vv / 0.5) ** 2)
 
-    def bump(grid):
-        xx, vv = grid.meshgrid()
-        return ((np.abs(xx + 0.5) < 0.3) & (np.abs(vv) < 1.0)).astype(float)
-
     g512 = sl.make_grid(1, (-8.0, 8.0), 512)
     g1024 = sl.make_grid(1, (-6.0, 6.0), 1024)
     g256 = sl.make_grid(2, ((-2.0, 2.0), (-3.0, 3.0)), 256)
@@ -69,8 +63,6 @@ def _solves(sl):
     ou = sl.preset_field("ou", {}, g1024)
     free = sl.preset_field("kinetic_langevin", {"beta": 0.0, "temp": 0.0}, g256)
     vdiff = sl.preset_field("kinetic_langevin", {"beta": 0.0, "temp": 0.5}, g128)
-    cold = sl.preset_field("kinetic_langevin", {"beta": 1.0, "temp": 0.0}, g128)
-    cold_steps = int(np.ceil(0.2 / (0.9 * sl.cfl_cap_kinetic(cold))))
     solves = [
         ("08 heat kernel", lambda: sl.solve_fp_1d(heat, spike(g512), 1.0)),
         ("08 OU relaxation T=5", lambda: sl.solve_fp_1d(
@@ -81,8 +73,6 @@ def _solves(sl):
         ("09 OU", lambda: sl.solve_fp_1d(ou512, gaussian(g512, 0.0, 2.0), 1.0)),
         ("10 free transport", lambda: sl.solve_kinetic(free, phase(g256), 0.5)),
         ("10 v-diffusion", lambda: sl.solve_kinetic(vdiff, phase(g128), 0.3)),
-        ("centered-flux bump", lambda: sl.solve_kinetic(
-            cold, bump(g128), 0.2, 0.2 / cold_steps, flux="centered")),
     ]
     for name in ("stationary_1d", "elliptic_energy", "kinetic_langevin"):
         cfg, plan = _plan({"scenario": name})

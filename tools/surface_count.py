@@ -12,11 +12,12 @@ imported, so numpy need not be installed):
 - the config keys of each scenario (the defaults literal of each record
   of ``runner.SCENARIOS``), as dotted paths to their leaves;
 - the public names without a caller: every name in a module's ``__all__``,
-  and each public method a class among them defines, whose name no file
-  under ``src``, ``tools`` or ``perfbench`` (next to ``src``) mentions as
-  a word outside import statements, ``__all__`` lists and the name's own
-  definition (its whole body). A text search, so a name that is also
-  another word in use counts as called.
+  and each public method a class among them defines, that no code under
+  ``src``, ``tools`` or ``perfbench`` (next to ``src``) reads outside the
+  name's own definition (its whole body). A method is read only as an
+  attribute (``x.mass``); a module-level name as a loaded name or as an
+  attribute (``sl.coarsen``). Docstrings, comments, strings, import
+  statements and ``__all__`` lists read nothing.
 
 Run ``python3 tools/surface_count.py [--src DIR]``; ``--src`` (default:
 this checkout's ``src``) is the source directory to count, so two trees
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import re
 from pathlib import Path
 
 
@@ -119,16 +119,16 @@ def _definitions(path: Path, tree: ast.Module) -> dict:
     return out
 
 
-def _code_lines(path: Path) -> list:
-    """(path, line number, text) of each line of a file that is not part
-    of an import statement or an ``__all__`` list."""
-    text = path.read_text()
-    skip = set()
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
-            skip.update(range(node.lineno, node.end_lineno + 1))
-    return [(path, i, line) for i, line in enumerate(text.splitlines(), 1)
-            if i not in skip]
+def _reads(path: Path) -> list:
+    """(path, line number, name, is an attribute) of each name a file's
+    code reads: every ``ast.Attribute`` and every loaded ``ast.Name``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            out.append((path, node.lineno, node.attr, True))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((path, node.lineno, node.id, False))
+    return out
 
 
 def uncalled(src: Path) -> list:
@@ -138,12 +138,13 @@ def uncalled(src: Path) -> list:
     defs = {}
     for path in paths:
         defs.update(_definitions(path, ast.parse(path.read_text())))
-    lines = [entry for root in (src, src.parent / "tools", src.parent / "perfbench")
-             for path in sorted(root.rglob("*.py")) for entry in _code_lines(path)]
+    reads = [entry for root in (src, src.parent / "tools", src.parent / "perfbench")
+             for path in sorted(root.rglob("*.py")) for entry in _reads(path)]
     out = []
     for qualname, (home, span) in defs.items():
-        word = re.compile(rf"\b{re.escape(qualname.rsplit('.', 1)[1])}\b")
-        if not any(word.search(text) for path, i, text in lines
+        name, method = qualname.rsplit(".", 1)[1], qualname.count(".") == 2
+        if not any(n == name and (attr or not method)
+                   for path, i, n, attr in reads
                    if not (path == home and i in span)):
             out.append(qualname)
     return sorted(out)
