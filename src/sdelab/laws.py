@@ -144,11 +144,14 @@ class Law:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _normalize(grid: Grid, slices: np.ndarray) -> np.ndarray:
+    def _normalize(grid: Grid, slices: np.ndarray, out=None) -> np.ndarray:
+        """``slices`` over their masses, into ``out`` if given (``slices``
+        itself only when the caller owns them)."""
         mass = _mass(grid, slices)
         if np.any(mass <= 0):
             raise ValueError("cannot normalize a zero-mass slice")
-        return slices / mass.reshape((-1,) + (1,) * (slices.ndim - 1))
+        return np.divide(slices, mass.reshape((-1,) + (1,) * (slices.ndim - 1)),
+                         out=out)
 
     @classmethod
     def from_slices(cls, grid: Grid, times, slices) -> "Law":
@@ -218,11 +221,13 @@ class Law:
                 counts += block
         counts = counts.reshape((nt, -1))
         slices = counts / (counts.sum(axis=1, keepdims=True) * grid.cell_volume)
+        del counts  # freed before the normalisation, which works in place
         slices = slices.reshape((nt,) + grid.shape)
         if bandwidth is not None:
             for ax in range(grid.d):
                 slices = _gaussian_filter(slices, bandwidth / grid.h[ax], 1 + ax)
-        return cls(grid, ensemble.times, cls._normalize(grid, slices))
+        return cls(grid, ensemble.times,
+                   cls._normalize(grid, slices, out=slices))
 
     @classmethod
     def from_density_evolution(cls, evolution, stride: int = 1) -> "Law":

@@ -48,6 +48,10 @@ class BrownianStore:
     coarser step and ``prefix`` keeps the first paths, so refinement studies
     and sub-ensembles stay coupled: both keep the store's lineage, and two
     stores carry the same noise exactly when their lineages agree.
+
+    ``increments`` is indexed (path, step, component) whatever its memory
+    layout. A generated store holds it step-major, (steps, r, N) in memory,
+    so that one step's increments are r contiguous rows for the Euler walk.
     """
 
     def __init__(self, seed: int, dt: float, increments: np.ndarray,
@@ -62,11 +66,22 @@ class BrownianStore:
     @classmethod
     def generate(cls, seed: int, n_paths: int, n_steps: int, dt: float,
                  r: int = 1) -> "BrownianStore":
-        if dt <= 0 or n_paths <= 0 or n_steps <= 0 or r <= 0:
+        """The Philox draw ``standard_normal((n_paths, n_steps, r))`` times
+        sqrt(dt), bit for bit: drawn path block by path block in stream
+        order into one reused block, each scaled into the step-major buffer."""
+        if not 0.0 < dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if n_paths <= 0 or n_steps <= 0 or r <= 0:
             raise ValueError("invalid store dimensions")
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        inc = rng.standard_normal((n_paths, n_steps, r)) * np.sqrt(dt)
-        return cls(seed, dt, inc)
+        blocks = path_blocks(n_paths, n_steps * r)
+        draw = np.empty((max(b.stop - b.start for b in blocks), n_steps, r))
+        buf = np.empty((n_steps, r, n_paths))
+        for blk in blocks:
+            block = rng.standard_normal(out=draw[:blk.stop - blk.start])
+            np.multiply(block.transpose(1, 2, 0), np.sqrt(dt),
+                        out=buf[:, :, blk])
+        return cls(seed, dt, buf.transpose(2, 0, 1))
 
     @property
     def n_paths(self) -> int:
@@ -84,7 +99,10 @@ class BrownianStore:
         if factor < 1 or self.n_steps % factor:
             raise ValueError("factor must divide the step count")
         n, s, r = self.increments.shape
-        agg = self.increments.reshape(n, s // factor, factor, r).sum(axis=2)
+        # summed over a path-major copy: the order of the sum follows the
+        # layout, and the path-major order is the one the store was made in
+        agg = np.ascontiguousarray(self.increments).reshape(
+            n, s // factor, factor, r).sum(axis=2)
         return BrownianStore(self.seed, self.dt * factor, agg, self.lineage)
 
     def prefix(self, n_paths: int) -> "BrownianStore":
@@ -98,7 +116,8 @@ class BrownianStore:
         return self.lineage == other.lineage
 
     def validate(self) -> Report:
-        """Gaussian sanity bands on the increment sample moments."""
+        """Gaussian sanity bands on the increment sample moments, summed in
+        path-major order (on a step-major store ``reshape`` copies)."""
         flat = self.increments.reshape(-1)
         n = flat.size
         mean = float(flat.mean())
@@ -318,18 +337,20 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
         X = np.moveaxis(out[:, part, 0], -1, 0).copy()  # (d, K, n)
         inc, rows, hit = store.increments[part], out[:, part], hits[:, part]
         for k in range(n_steps):
-            # one strided read of the path-major store, then contiguous rows
-            dW = inc[:, k, :].T.copy()  # (r, n)
+            dW = inc[:, k, :].T  # (r, n): contiguous rows of a generated store
             FS = _combine(table, *_locate(axes, X), offsets)  # (d + d*r, K, n)
             X += FS[:d] * dt
             noise = FS[d::r] * dW[0]
             for j in range(1, r):
                 noise += FS[d + j::r] * dW[j]
             X += noise
-            if not np.isfinite(X).all():
+            # per-axis extremes: a NaN or an infinity shows in them, and so
+            # does any path beyond a wall; only then are the paths named
+            low, high = X.min(axis=(1, 2)), X.max(axis=(1, 2))
+            if not np.isfinite(low).all() or not np.isfinite(high).all():
                 member, path = np.nonzero(~np.isfinite(X).all(axis=0))
                 return k + 1, int(member[0]), part.start + int(path[0])
-            if walls:
+            if any(low[a] < lo or high[a] > hi for a, lo, hi in walls):
                 hit += functools.reduce(np.logical_or, [
                     (X[a] < lo) | (X[a] > hi) for a, lo, hi in walls])
             if (k + 1) in rec_set:
@@ -475,18 +496,20 @@ def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0) -> Report:
     esup = np.zeros((k, k))
     se = np.zeros((k, k))
     eta = np.zeros((k, k))
-    # eta[n, m] reads the law of the coarser member n <= k - 2 only
-    laws = [Law.from_ensemble(e) for e in ensembles[:-1]]
     T = float(ensembles[0].times[-1])
-    for n in range(k):
+    for n in range(k - 1):
+        # eta[n, m] reads the law of the coarser member n only: one law is
+        # alive at a time
+        law = Law.from_ensemble(ensembles[n])
         for m in range(n + 1, k):
             delta = _coupled(ensembles[n], ensembles[m])
             samples = np.max(delta, axis=1) ** p
             esup[n, m] = esup[m, n] = samples.mean()
             se[n, m] = se[m, n] = samples.std(ddof=1) / np.sqrt(samples.size)
             eta[n, m] = eta[m, n] = coefficient_distance(
-                ensembles[n].field, ensembles[m].field, laws[n], T
+                ensembles[n].field, ensembles[m].field, law, T
             )
+        del law
     level = np.array([esup[i, i + 1:].max() for i in range(k - 1)])
     level_se = np.array(
         [se[i, i + 1 + int(np.argmax(esup[i, i + 1:]))] for i in range(k - 1)]

@@ -22,7 +22,14 @@ For each it gives the seconds of building and factoring I - dt A the first
 time in the process (``cold_s``), the median of five more builds of the same
 operator (``warm_s``) and the median of twenty backward steps (``step_s``);
 ``scipy_import_s`` is the import of ``scipy.sparse.linalg`` before them,
-kept out of the first cold build. Then it prints one JSON line per
+kept out of the first cold build. A fifth line times one pass of
+``perfbench``'s ``coupled_family`` shape on the second line's six mollified
+fields, stage by stage: ``generate`` (a store of 1 000 paths x 256 steps),
+``walks`` (six ``simulate_ensemble`` calls recorded every 8 steps, with
+their path-steps/s), ``cauchy`` (``cauchy_diagnostic`` at p = 2, with the
+tracemalloc peak of a second, traced call in MiB and in laws of one member)
+and ``q_l`` (``q_functional`` and ``l_eps_functional`` on the two finest
+members at four epsilons each). Then it prints one JSON line per
 repetition: the seconds of each stage (``noise``, ``euler``, ``histogram``,
 ``pathwise_h1``) by ``time.perf_counter`` and the process's peak RSS so far
 in MB (``resource.getrusage``). The first repetition's ``peak_rss_mb`` is
@@ -45,6 +52,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -92,6 +100,44 @@ def _backward_operators(sl) -> dict:
             "seconds": seconds, "peak_rss_mb": round(_peak_rss_mb(), 1)}
 
 
+def _coupled_family(sl, fields, seed: int) -> dict:
+    """The fifth line: one coupled-family pass on ``fields``, stage by
+    stage."""
+    n_paths, n_steps = 1000, 256
+    stages = {}
+    t = time.perf_counter()
+    store = sl.BrownianStore.generate(seed, n_paths, n_steps, 1.0 / n_steps)
+    stages["generate"] = time.perf_counter() - t
+    t = time.perf_counter()
+    ens = [sl.simulate_ensemble(f, 0.0, 1.0, store, record_every=8)
+           for f in fields]
+    stages["walks"] = time.perf_counter() - t
+    t = time.perf_counter()
+    sl.cauchy_diagnostic(ens, p=2.0)
+    stages["cauchy"] = time.perf_counter() - t
+    tracemalloc.start()
+    try:
+        sl.cauchy_diagnostic(ens, p=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t = time.perf_counter()
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+        sl.q_functional(ens[-2], ens[-1], eps)
+    for eps in (0.5, 0.1, 0.01, 0.001):
+        sl.l_eps_functional(ens[-2], ens[-1], eps)
+    stages["q_l"] = time.perf_counter() - t
+    law_bytes = ens[0].times.size * fields[0].grid.shape[0] * 8
+    return {"pass": "coupled_family", "paths": n_paths, "steps": n_steps,
+            "members": len(fields),
+            "stages_s": {k: round(v, 4) for k, v in stages.items()},
+            "path_steps_per_s": round(len(fields) * n_paths * n_steps
+                                      / stages["walks"]),
+            "cauchy_peak_mib": round(peak / 2 ** 20, 2),
+            "cauchy_peak_laws": round(peak / law_bytes, 2),
+            "peak_rss_mb": round(_peak_rss_mb(), 1)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path,
@@ -114,10 +160,10 @@ def main(argv=None) -> int:
 
     grid = sl.make_grid(1, (-4.0, 4.0), 8192)
     base = sl.preset_field("sqrt_diffusion", {"kappa": 0.0}, grid)
-    calls = []
+    calls, family = [], []
     for k in range(4, 10):
         t = time.perf_counter()
-        sl.mollify(base, 2.0 ** -k)
+        family.append(sl.mollify(base, 2.0 ** -k))
         calls.append(time.perf_counter() - t)
     print(json.dumps({"setup": "mollify_family",
                       "first_mollify_s": round(calls[0], 4),
@@ -144,6 +190,7 @@ def main(argv=None) -> int:
                       "peak_rss_mb": round(_peak_rss_mb(), 1)}), flush=True)
 
     print(json.dumps(_backward_operators(sl)), flush=True)
+    print(json.dumps(_coupled_family(sl, family, args.seed)), flush=True)
 
     grid = sl.make_grid(1, (-6.0, 6.0), 1024)
     field = sl.preset_field("ou", {}, grid)
