@@ -296,10 +296,7 @@ class Mollifier:
         # the radius on the offset lattice; on one axis the signed offsets
         # themselves, which the profile squares
         w = self.profile(functools.reduce(np.hypot, np.ix_(*offsets)))
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("degenerate mollifier kernel")
-        w = w / total
+        w = w / w.sum()  # the centre tap is exp(-1) > 0
         assert abs(w.sum() - 1.0) < 1e-12
         return w
 

@@ -82,11 +82,7 @@ def _coeffs_1d(field: CoefficientField):
     if field.grid.d != 1:
         raise ValueError("solve_fp_1d needs a one-dimensional field")
     _check_box(field.grid, "solve_fp_1d")
-    F = field.drift[:, 0]
-    a = field.a[:, 0, 0]
-    if a.min() < 0:
-        raise ValueError("diffusion coefficient must be nonnegative")
-    return F, a
+    return field.drift[:, 0], field.a[:, 0, 0]
 
 
 def _caps(speeds, hs, a: np.ndarray, h: float):
@@ -423,23 +419,14 @@ def max_principle_check(evolution: Law) -> Report:
 
 # -- law comparison ----------------------------------------------------------
 
-def _final_slice(law: Law, t: float | None):
-    k = -1 if t is None else int(np.argmin(np.abs(law.times - t)))
-    return law.density[k]
-
-
-def law_compare(lawA: Law, lawB: Law, t: float | None = None) -> dict:
-    """L^1 and Wasserstein-1 distances between two 1-D laws.
-
-    Compares single density slices (the final stamp by default, or the stamp
-    nearest ``t`` in each law) on one grid.
-    """
+def law_compare(lawA: Law, lawB: Law) -> dict:
+    """L^1 and Wasserstein-1 distances between the final density slices of
+    two 1-D laws on one grid."""
     if lawA.grid.d != 1 or lawB.grid.d != 1:
         raise ValueError("law_compare works on 1-D laws")
     if lawB.grid != lawA.grid:
         raise ValueError("law_compare needs both laws on one grid")
-    ua = _final_slice(lawA, t)
-    ub = _final_slice(lawB, t)
+    ua, ub = lawA.density[-1], lawB.density[-1]
     h = lawA.grid.h[0]
     l1 = float(h * np.abs(ua - ub).sum())
     cdf_gap = np.cumsum(ua - ub) * h

@@ -57,6 +57,20 @@ def _check_horizon(T: float = 1.0, record_every: int = 1) -> None:
             f"record_every must be a positive integer, got {record_every!r}")
 
 
+def _stamps_through(times: np.ndarray, T: float) -> np.ndarray:
+    """Mask of the ascending stamps in [0, T], the quadrature nodes of an
+    integral up to T; T must be a stamp (to 1e-12), so that no integral
+    silently stops at an earlier one."""
+    keep = times <= T + 1e-12
+    n = int(keep.sum())
+    if n == 0 or times[n - 1] < T - 1e-12:
+        where = (f"before the first stamp {times[0]:g}" if n == 0 else
+                 f"past the last stamp {times[-1]:g}" if n == times.size else
+                 f"between the stamps {times[n - 1]:g} and {times[n]:g}")
+        raise ValueError(f"T={T:g} is not a recorded stamp: it lies {where}")
+    return keep
+
+
 def _user_steps(T: float, dt: float, cap: float) -> int:
     """Step count of a given dt over [0, T]; the user-dt rule of both the
     PDE and the SDE solvers: dt must not exceed cap (to a relative 1e-12)
@@ -130,13 +144,13 @@ class Law:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def as_law(self, stride: int = 1) -> "Law":
-        return Law.from_density_evolution(self, stride)
+    def as_law(self) -> "Law":
+        return Law.from_density_evolution(self)
 
-    def dump_csv(self, path, stride: int = 1) -> None:
+    def dump_csv(self, path) -> None:
         """One row per (time, node) observation."""
         mesh = [m.reshape(-1) for m in self.grid.meshgrid()]
-        slices = zip(self.times[::stride], self.density[::stride])
+        slices = zip(self.times, self.density)
         write_csv(path, ["t"] + [f"x{i}" for i in range(self.grid.d)] + ["u"],
                   ((t, *(m[j] for m in mesh), u) for t, dens in slices
                    for j, u in enumerate(dens.reshape(-1))))
@@ -160,12 +174,6 @@ class Law:
         if slices.ndim == grid.d:
             slices = slices[None]
         return cls(grid, np.atleast_1d(times), cls._normalize(grid, slices))
-
-    @classmethod
-    def uniform(cls, grid: Grid, times) -> "Law":
-        """Uniform density."""
-        return cls.from_slices(grid, times, np.ones(
-            (np.atleast_1d(times).size,) + grid.shape))
 
     @classmethod
     def gaussian(cls, grid: Grid, times, mean: float = 0.0, std: float = 1.0) -> "Law":
@@ -230,10 +238,10 @@ class Law:
                    cls._normalize(grid, slices, out=slices))
 
     @classmethod
-    def from_density_evolution(cls, evolution, stride: int = 1) -> "Law":
-        """A solver's Law at every ``stride``-th stamp, slices renormalized."""
-        density = cls._normalize(evolution.grid, evolution.density[::stride])
-        return cls(evolution.grid, evolution.times[::stride], density,
+    def from_density_evolution(cls, evolution) -> "Law":
+        """A solver's Law with its slices renormalized."""
+        density = cls._normalize(evolution.grid, evolution.density)
+        return cls(evolution.grid, evolution.times, density,
                    dict(evolution.scheme))
 
     # -- operations --------------------------------------------------------
@@ -252,16 +260,16 @@ class Law:
         return self.grid.cell_volume * flat @ v.reshape(-1)
 
     def time_integral(self, values: np.ndarray, T: float | None = None) -> float:
-        """int_0^T E[values(X_t)] dt by trapezoid over the stamps."""
+        """int_0^T E[values(X_t)] dt by trapezoid over the stamps up to T,
+        which must be one of them (``_stamps_through``); all stamps if T is
+        None."""
         e = self.expectation(values)
         t = self.times
         if t.size == 1:
             # single-slice law: treated as time-constant on [0, T]
             return float((T if T is not None else 1.0) * e[0])
         if T is not None:
-            if T > t[-1] + 1e-12:
-                raise ValueError("law does not cover the requested horizon")
-            keep = t <= T + 1e-12
+            keep = _stamps_through(t, T)
             t, e = t[keep], e[keep]
         return float(np.trapezoid(e, t))
 

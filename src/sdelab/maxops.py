@@ -38,29 +38,12 @@ __all__ = [
 class RadiusSchedule:
     radii: tuple[float, ...]
 
-    def __post_init__(self):
-        r = np.asarray(self.radii)
-        if r.size == 0:
-            raise ValueError("radius schedule must be nonempty")
-        if np.any(np.diff(r) <= 0) or np.any(r <= 0):
-            raise ValueError("radii must be positive and strictly increasing")
-
     @classmethod
-    def geometric(cls, grid: Grid, r_min: float | None = None,
-                  r_max: float | None = None) -> "RadiusSchedule":
-        """r_k = r_min * 2^k up to r_max (defaults: one cell, half box diameter)."""
-        h = max(grid.h)
-        if r_min is None:
-            r_min = h
-        if r_max is None:
-            r_max = grid.box_diameter / 2
-        if r_min < h:
-            raise ValueError("r_min must be at least one cell width")
-        if r_max > grid.box_diameter / 2 + 1e-12:
-            raise ValueError("r_max must not exceed half the box diameter")
+    def geometric(cls, grid: Grid) -> "RadiusSchedule":
+        """r_k = h 2^k up to half the box diameter, h the widest cell."""
         radii = []
-        r = r_min
-        while r <= r_max * (1 + 1e-12):
+        r = max(grid.h)
+        while r <= grid.box_diameter / 2 * (1 + 1e-12):
             radii.append(r)
             r *= 2.0
         return cls(tuple(radii))
@@ -135,9 +118,9 @@ def _ball_averages(f: np.ndarray, grid: Grid, radii):
         yield total
 
 
-def maximal(f: np.ndarray, grid: Grid,
-            schedule: RadiusSchedule | None = None) -> np.ndarray:
-    """Discrete maximal function: max over scheduled radii of ball averages.
+def maximal(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete maximal function: max of the ball averages over the radii of
+    ``RadiusSchedule.geometric(grid)``.
 
     f must be finite and nonnegative (use sites feed |grad sigma| and
     friends); NaN, infinite or negative values are a caller bug and are
@@ -150,10 +133,8 @@ def maximal(f: np.ndarray, grid: Grid,
         raise ValueError("maximal operator input must be finite")
     if np.any(f < 0):
         raise ValueError("maximal operator input must be nonnegative")
-    if schedule is None:
-        schedule = RadiusSchedule.geometric(grid)
     out = np.full_like(f, -np.inf)
-    for avg in _ball_averages(f, grid, schedule.radii):
+    for avg in _ball_averages(f, grid, RadiusSchedule.geometric(grid).radii):
         np.maximum(out, avg, out=out)
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, mollify_array
-from .laws import Law
+from .laws import Law, _stamps_through
 from .maxops import gradient_magnitude, half_derivative, maximal, maximal_modified
 from .report import Report, Serialisable
 from .sde import path_time_integrals
@@ -80,8 +80,8 @@ def _as_components(values, grid: Grid) -> np.ndarray:
 def _check_law(values, u: Law, T: float) -> None:
     if np.asarray(values).shape[: u.grid.d] != u.grid.shape:
         raise ValueError("field and law grids do not match")
-    if u.times.size > 1 and T > u.T + 1e-12:
-        raise ValueError("law does not cover the requested horizon")
+    if u.times.size > 1:
+        _stamps_through(u.times, T)
 
 
 def _sq_mag(comp: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ def _pathwise_time_integral(ensemble, weight_grid: np.ndarray, T: float):
     grid = ensemble.grid
     if grid.d != 1:
         raise ValueError("pathwise estimators are one-dimensional")
-    keep = ensemble.times <= T + 1e-12
+    keep = _stamps_through(ensemble.times, T)
     per_path = path_time_integrals(ensemble.paths, grid, weight_grid,
                                    ensemble.times[keep], keep)
     mean = float(per_path.mean())
@@ -169,17 +169,16 @@ def wphi_weak_norm(values, u: Law, T: float, L_grid=None) -> NormValue:
                      L_grid=L_grid, argmax_L=L_grid[k])
 
 
-def h_half_norm(values, u: Law, T: float, method: str = "quadrature", *,
-                ensemble=None) -> NormValue:
-    """H^{1/2}(u) norm on a periodic 1-D grid; M is ``maximal`` over its
-    geometric radius schedule."""
+def h_half_norm(values, u: Law, T: float) -> NormValue:
+    """H^{1/2}(u) norm on a periodic 1-D grid, by grid quadrature; M is
+    ``maximal`` over its geometric radius schedule."""
     if u.grid.d != 1:
         raise ValueError("h_half_norm is one-dimensional")
     _check_law(values, u, T)
     dh = half_derivative(np.asarray(values, dtype=float).reshape(u.grid.shape),
                          u.grid)
     w = maximal(np.abs(dh), u.grid) ** 2
-    return _sqrt_norm("Hhalf", w, u, T, method, ensemble)
+    return _sqrt_norm("Hhalf", w, u, T, "quadrature", None)
 
 
 _PROBES = {"H1": h1_norm, "WphiWeak": wphi_weak_norm, "Hhalf": h_half_norm}
@@ -255,7 +254,7 @@ def holder_domination_check(values, u: Law, p: float, q: float,
         g_tq = gx * span ** (1.0 / q)
         u_tq = ux[0] * span ** (1.0 / qq)
     else:
-        keep = t <= T + 1e-12
+        keep = _stamps_through(t, T)
         tt, uu = t[keep], ux[keep]
         g_tq = (np.trapezoid(np.full_like(tt, gx ** q), tt)) ** (1.0 / q)
         u_tq = (np.trapezoid(uu ** qq, tt)) ** (1.0 / qq)

@@ -22,6 +22,7 @@ from sdelab import (
     preset_field,
     sample_pairs,
 )
+from sdelab.maxops import _ball_averages
 
 
 def test_radius_schedule_geometric(grid1d):
@@ -30,15 +31,6 @@ def test_radius_schedule_geometric(grid1d):
     assert r[0] == pytest.approx(grid1d.h[0])
     assert np.allclose(r[1:] / r[:-1], 2.0)
     assert r[-1] <= grid1d.box_diameter / 2 * (1 + 1e-12)
-
-
-def test_radius_schedule_validation(grid1d):
-    with pytest.raises(ValueError):
-        RadiusSchedule(())
-    with pytest.raises(ValueError):
-        RadiusSchedule((1.0, 0.5))
-    with pytest.raises(ValueError):
-        RadiusSchedule.geometric(grid1d, r_min=grid1d.h[0] / 4)
 
 
 def test_maximal_of_constant_is_constant(grid1d):
@@ -92,10 +84,10 @@ def _disc_kernel(grid, r):
     return mask / mask.sum()
 
 
-def _dense_maximal(f, grid, schedule):
+def _dense_maximal(f, grid, radii):
     """Oracle: max over radii of dense disc correlations of the extended f."""
     out = np.full(f.shape, -np.inf)
-    for r in schedule.radii:
+    for r in radii:
         k = _disc_kernel(grid, r)
         ki, kj = (k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2
         ext = np.pad(f, ((ki, ki), (0, 0)),
@@ -115,20 +107,25 @@ def test_maximal_2d_matches_dense_disc_correlation(cells, periodic):
     # scipy's border offset tables for the dense oracle grow like r^4: the
     # full schedule at 64^2, radii up to 16 cells at 128^2 (all radii there
     # would need 1.7 GB per call)
-    r_max = None if cells == 64 else 16 * grid.h[0]
-    schedule = RadiusSchedule.geometric(grid, r_max=r_max)
+    radii = RadiusSchedule.geometric(grid).radii
+    if cells == 128:
+        radii = [r for r in radii if r <= 16 * grid.h[0] * (1 + 1e-12)]
     f = np.random.default_rng(cells).random(grid.shape)
-    np.testing.assert_allclose(maximal(f, grid, schedule),
-                               _dense_maximal(f, grid, schedule),
+    fold = np.full(grid.shape, -np.inf)
+    for avg in _ball_averages(f, grid, radii):
+        np.maximum(fold, avg, out=fold)
+    np.testing.assert_allclose(fold, _dense_maximal(f, grid, radii),
                                rtol=1e-12, atol=0)
+    if cells == 64:
+        assert np.array_equal(maximal(f, grid), fold)
 
 
 def test_maximal_2d_matches_dense_on_anisotropic_grid(grid2d, rng):
     assert grid2d.h == (1 / 16, 3 / 32)
-    schedule = RadiusSchedule.geometric(grid2d)
+    radii = RadiusSchedule.geometric(grid2d).radii
     f = rng.random(grid2d.shape)
     np.testing.assert_allclose(maximal(f, grid2d),
-                               _dense_maximal(f, grid2d, schedule),
+                               _dense_maximal(f, grid2d, radii),
                                rtol=1e-12, atol=0)
 
 

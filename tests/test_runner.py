@@ -1,5 +1,7 @@
 """Config validation, scenario execution and the CLI."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 import sdelab
 from sdelab import ConfigError, SCENARIOS, run_scenario, validate_config
+from sdelab.report import Report
 from sdelab.runner import main
 
 
@@ -85,6 +88,27 @@ def test_run_scenario_emits_manifest_and_checks(tmp_path):
     assert manifest["checks"]["energy"] is True
     for rel in manifest["files"]:
         assert (tmp_path / "run" / rel).exists()
+
+
+def test_a_crashed_run_leaves_an_incomplete_failed_manifest(tmp_path,
+                                                           monkeypatch):
+    """A body that raises after one passing report: the error propagates,
+    and the manifest says complete and passed false and lists that report
+    with its sha256."""
+    def body(cfg, plan, emit):
+        emit.check(Report("partial", True, {"stage": 1}))
+        raise RuntimeError("body failed after one report")
+
+    record = dataclasses.replace(SCENARIOS["norm_audit"], body=body)
+    monkeypatch.setitem(SCENARIOS, "norm_audit", record)
+    with pytest.raises(RuntimeError, match="body failed after one report"):
+        run_scenario({"scenario": "norm_audit"}, out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["complete"] is False and manifest["passed"] is False
+    assert manifest["checks"] == {"partial": True}
+    report = tmp_path / "reports" / "partial.json"
+    assert manifest["files"] == {
+        "reports/partial.json": hashlib.sha256(report.read_bytes()).hexdigest()}
 
 
 def test_run_scenario_seed_override_changes_hash(tmp_path):

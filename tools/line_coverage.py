@@ -3,6 +3,8 @@
 The traffic runs in this one process, traced with ``sys.settrace`` and
 ``threading.settrace``:
 
+- ``import sdelab`` (its preset table and scenario records are built by
+  function calls);
 - the seven default scenarios, each through ``runner.main(["run", ...])``
   with its default config (``{"scenario": name}``) into a temporary
   directory;
@@ -10,19 +12,26 @@ The traffic runs in this one process, traced with ``sys.settrace`` and
   first pass, its check), imported from ``perfbench/workloads.py`` as is;
 - ``tests/test_acceptance.py`` through ``pytest.main`` (about a minute).
 
+With ``--tier1`` the same process then runs the rest of ``tests/`` (the
+test suite without the acceptance file) through ``pytest.main``, and each
+module's lines split three ways: run by the product's traffic, run only by
+the unit tests, and run by nothing (about three minutes in all).
+
 A function-body line is a line that the code object of a function, a
 lambda or a comprehension holds instructions for (``co_lines``), less the
 ``def`` line itself, which reports no line event. Per module the tool
 prints the body lines, those the traffic ran and those it did not, and
 then the unrun lines grouped by the function that holds them; a line of a
-``raise`` statement is counted apart from the rest::
+``raise`` statement is counted apart from the rest. With ``--tier1`` the
+table gains a column of the lines only unit tests run, listed by function
+before the lines nothing runs::
 
-    python tools/line_coverage.py [--src DIR]
+    python tools/line_coverage.py [--src DIR] [--tier1]
 
 Standard library only (the traffic itself needs numpy, scipy and pytest).
 ``--src`` (default: this checkout's ``src``) is the source directory the
 package is imported from, as in ``tools/run_tree_digest.py``; the
-scenarios, workloads and acceptance tests are always this checkout's.
+scenarios, workloads and tests are always this checkout's.
 The trace takes too long for the test suite, which does not collect it.
 """
 
@@ -115,14 +124,13 @@ def _workloads(scratch: Path) -> None:
         print(f"workload {name}: {problems or 'ok'}", file=sys.stderr)
 
 
-def _acceptance() -> None:
+def _pytest(label: str, *args: str) -> None:
     import pytest
 
     with redirect_stdout(io.StringIO()) as out:
-        status = pytest.main(["-q", "-p", "no:cacheprovider",
-                              str(ROOT / "tests" / "test_acceptance.py")])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *args])
     summary = out.getvalue().strip().splitlines()
-    print(f"acceptance: exit {int(status)}, {summary[-1] if summary else ''}",
+    print(f"{label}: exit {int(status)}, {summary[-1] if summary else ''}",
           file=sys.stderr)
 
 
@@ -138,52 +146,13 @@ def _spans(lines) -> str:
     return " ".join(out)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="source directory holding the sdelab package")
-    args = parser.parse_args(argv)
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    import sdelab
-
-    package = Path(sdelab.__file__).resolve().parent
-    if package != src / "sdelab":
-        parser.error(f"sdelab was already imported from {package}")
-    paths = sorted(package.glob("*.py"))
-    hits = {str(p): set() for p in paths}
-
-    trace = _tracer(hits)
-    threading.settrace(trace)
-    sys.settrace(trace)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            _scenarios(Path(tmp) / "scenarios")
-            _workloads(Path(tmp) / "workloads")
-            _acceptance()
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
-
-    print(f"{'module':<12} {'body':>6} {'run':>6} {'unrun':>6} {'raise':>6}")
-    totals = [0, 0, 0, 0]
-    unrun_by_module = {}
-    for path in paths:
-        owner = _body_lines(path)
-        raises = _raise_lines(path)
-        unrun = sorted(set(owner) - hits[str(path)])
-        row = [len(owner), len(owner) - len(unrun), len(unrun),
-               sum(line in raises for line in unrun)]
-        totals = [t + r for t, r in zip(totals, row)]
-        print(f"{path.name:<12} {row[0]:>6} {row[1]:>6} {row[2]:>6} {row[3]:>6}")
-        unrun_by_module[path.name] = (owner, raises, unrun)
-    print(f"{'total':<12} {totals[0]:>6} {totals[1]:>6} {totals[2]:>6} "
-          f"{totals[3]:>6}")
-
-    print("unrun lines by function (raise lines after 'raise:'):")
-    for module, (owner, raises, unrun) in unrun_by_module.items():
+def _by_function(title: str, lines_by_module: dict) -> None:
+    """The lines of each module grouped by the function that holds them,
+    raise lines after 'raise:'."""
+    print(f"{title} by function (raise lines after 'raise:'):")
+    for module, (owner, raises, lines) in lines_by_module.items():
         functions = {}
-        for line in unrun:
+        for line in lines:
             functions.setdefault(owner[line], []).append(line)
         for function, lines in sorted(functions.items(),
                                       key=lambda item: item[1][0]):
@@ -193,6 +162,72 @@ def main(argv=None) -> int:
             if raised:
                 text += f"{' ' if text else ''}raise: {_spans(raised)}"
             print(f"  {module}:{function}  {text}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source directory holding the sdelab package")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also run the unit tests and list the lines "
+                             "only they run")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    paths = sorted((src / "sdelab").glob("*.py"))
+    hits = {str(p): set() for p in paths}
+
+    # One tracer for both phases: the pool threads keep the trace function
+    # they started with, so the unit-test phase reuses the same sets after
+    # the product's lines are copied out of them. The import is traced
+    # too: the preset table and the scenario records are built by calls.
+    trace = _tracer(hits)
+    threading.settrace(trace)
+    sys.settrace(trace)
+    tests = {str(p): set() for p in paths}
+    try:
+        import sdelab
+
+        package = Path(sdelab.__file__).resolve().parent
+        if package != src / "sdelab":
+            parser.error(f"sdelab was already imported from {package}")
+        with tempfile.TemporaryDirectory() as tmp:
+            _scenarios(Path(tmp) / "scenarios")
+            _workloads(Path(tmp) / "workloads")
+            acceptance = str(ROOT / "tests" / "test_acceptance.py")
+            _pytest("acceptance", acceptance)
+            if args.tier1:
+                product = {name: set(seen) for name, seen in hits.items()}
+                for seen in hits.values():
+                    seen.clear()
+                _pytest("unit tests", str(ROOT / "tests"), "--ignore", acceptance)
+                tests = {name: seen - product[name]
+                         for name, seen in hits.items()}
+                hits = product
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+
+    columns = ("body", "run") + ("tests",) * args.tier1 + ("unrun", "raise")
+    print(f"{'module':<12}" + "".join(f" {c:>6}" for c in columns))
+    totals = [0] * len(columns)
+    only_tests, unrun_by_module = {}, {}
+    for path in paths:
+        owner = _body_lines(path)
+        raises = _raise_lines(path)
+        ran, tested = hits[str(path)], sorted(tests[str(path)] & set(owner))
+        unrun = sorted(set(owner) - ran - set(tested))
+        row = [len(owner), len(set(owner) & ran)] + [len(tested)] * args.tier1 \
+            + [len(unrun), sum(line in raises for line in unrun)]
+        totals = [t + r for t, r in zip(totals, row)]
+        print(f"{path.name:<12}" + "".join(f" {v:>6}" for v in row))
+        only_tests[path.name] = (owner, raises, tested)
+        unrun_by_module[path.name] = (owner, raises, unrun)
+    print(f"{'total':<12}" + "".join(f" {v:>6}" for v in totals))
+
+    if args.tier1:
+        _by_function("lines only unit tests run", only_tests)
+    _by_function("unrun lines", unrun_by_module)
     return 0
 
 

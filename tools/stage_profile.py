@@ -67,6 +67,7 @@ def _scipy_modules() -> list[str]:
 def _backward_operators(sl) -> dict:
     """The fourth line: build, factor and step each default backward-Euler
     operator (``_euler_step`` with ``implicit=True``)."""
+    import numpy as np
     from sdelab import fpe
     t = time.perf_counter()
     import scipy.sparse.linalg  # noqa: F401
@@ -88,7 +89,7 @@ def _backward_operators(sl) -> dict:
             t = time.perf_counter()
             step = fpe._euler_step(F, a, grid.h[-1], dt, True)
             builds.append(time.perf_counter() - t)
-        u = sl.Law.uniform(grid, [0.0]).density[0]
+        u = np.ones(grid.shape)
         for _ in range(20):
             t = time.perf_counter()
             step(u)
