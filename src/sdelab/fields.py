@@ -151,7 +151,10 @@ class CoefficientField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "diffusion", diffusion)
-        _check_psd(self._sigma_sigma())
+        a = self._sigma_sigma()
+        _check_psd(a)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("diffusion matrix a = sigma sigma*/2 must be finite")
 
     @property
     def r(self) -> int:

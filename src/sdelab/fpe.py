@@ -10,10 +10,11 @@ which give the bands of the finite-volume generator A (``_fv_bands``), and
 one step loop, ``_march``. ``_euler_step`` steps du/dt = A u forward, as the
 fluxes' flow across each interface, under the CFL cap min(h/(2 sup|speed|),
 h^2/(4 sup a)) by default, or backward with ``implicit=True`` (I - dt A
-factored once; an M-matrix, as A has nonnegative off-diagonals and zero
-column sums, so positivity and mass hold for any dt, and the default step
-is 0.9 times the transport cap h/(2 sup|speed|)). The kinetic split step is
-three: explicit transport sweeps in x and v (a = 0), then the v-diffusion.
+factored once, one line of it when every line has the same bands; an
+M-matrix, as A has nonnegative off-diagonals and zero column sums, so
+positivity and mass hold for any dt, and the default step is 0.9 times the
+transport cap h/(2 sup|speed|)). The kinetic split step is three: explicit
+transport sweeps in x and v (a = 0), then the v-diffusion.
 
 Both solvers return a ``Law`` whose ``scheme`` records the numerics. Monitors:
 pointwise stationary bound, energy inequality for int u^alpha between
@@ -208,15 +209,26 @@ def _euler_step(F, a, h: float, dt: float, implicit: bool):
     """One Euler step u -> v of du/dt = A u (``_fv_fluxes``) along the last
     axis of u. Forward: the flow dt/h phi_i leaves node i and enters node
     i+1, v in u's memory order (a step of a transposed view copies nothing
-    across). Backward: solve (I - dt A) v = u, I - dt A factored once."""
+    across). Backward: solve (I - dt A) v = u, I - dt A factored once. When
+    every line's three bands equal the first line's (exact ``==``, as for
+    the kinetic v-diffusion of a constant a_vv), only that line is factored
+    and each step solves all lines as the columns of one right-hand side;
+    otherwise the block-diagonal matrix over all lines is factored and
+    solved as one column. Both give the block solve's bits."""
     if implicit:
         from scipy.sparse import linalg as splinalg
+        bands = np.stack(_fv_bands(F, a, h))
+        bands = bands.reshape(3, -1, bands.shape[-1])  # (band, line, node)
+        if (bands == bands[:, :1]).all():
+            bands = bands[:, :1]
+        m = bands[0].size  # nodes of the factored system
         # one-column panels: on a tridiagonal matrix every update is one
         # scalar segment either way, so the factor is the same to the bit,
-        # without the panel search that is half the 129^2 kinetic factor
-        lu = splinalg.splu(_tridiagonal_csc(*_fv_bands(F, a, h), dt),
+        # without the panel search that is half a 129^2-node block factor
+        lu = splinalg.splu(_tridiagonal_csc(*bands, dt),
                            permc_spec="NATURAL", panel_size=1)
-        return lambda u: lu.solve(u.reshape(-1)).reshape(u.shape)
+        # the transposed view is Fortran-ordered: the solve copies nothing
+        return lambda u: lu.solve(u.reshape(-1, m).T).T.reshape(u.shape)
     right, left = _fv_fluxes(F, a, h)
 
     def forward(u):
@@ -383,8 +395,12 @@ def solve_kinetic(field: CoefficientField, u0, T: float,
     (= v for the shipped preset), transport in v with speed drift_v, then
     the v-diffusion along v per x row. ``implicit=True`` makes the
     v-diffusion a backward step; the transport sweeps stay explicit, so dt
-    is capped by transport alone (``plan_steps``). By default about 50
-    steps are recorded.
+    is capped by transport alone (``plan_steps``). A v-diffusion whose bands
+    are the same on every x row (a_vv constant in x, as in the shipped
+    preset) factors one row and solves all rows as the columns of one
+    right-hand side; an a_vv that varies in x factors the block-diagonal
+    matrix over all rows (``_euler_step``). By default about 50 steps are
+    recorded.
     """
     grid = field.grid
     speed_x, speed_v, a_vv = _kinetic_coeffs(field)

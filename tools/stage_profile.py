@@ -20,9 +20,12 @@ operators of ``stationary_1d`` (1 025 nodes) and ``elliptic_energy`` (513
 nodes) and the kinetic v-diffusion of ``kinetic_langevin`` (129^2 nodes).
 For each it gives the seconds of building and factoring I - dt A the first
 time in the process (``cold_s``), the median of five more builds of the same
-operator (``warm_s``) and the median of twenty backward steps (``step_s``);
-``scipy_import_s`` is the import of ``scipy.sparse.linalg`` before them,
-kept out of the first cold build. A fifth line times one pass of
+operator (``warm_s``), the median of twenty backward steps (``step_s``) and
+the nodes over ``step_s`` (``cell_steps_per_s``); ``kinetic_split_step``
+gives the same two for one whole ``solve_kinetic(implicit=True)`` split step
+of ``kinetic_langevin`` (the explicit x and v sweeps and the backward
+v-diffusion); ``scipy_import_s`` is the import of ``scipy.sparse.linalg``
+before them, kept out of the first cold build. A fifth line times one pass of
 ``perfbench``'s ``coupled_family`` shape on the second line's six mollified
 fields, stage by stage: ``generate`` (a store of 1 000 paths x 256 steps),
 ``walks`` (six ``simulate_ensemble`` calls recorded every 8 steps, with
@@ -64,9 +67,20 @@ def _scipy_modules() -> list[str]:
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 
+def _median_step_s(step, u) -> float:
+    """Median seconds of twenty calls ``step(u)``."""
+    seconds = []
+    for _ in range(20):
+        t = time.perf_counter()
+        step(u)
+        seconds.append(time.perf_counter() - t)
+    return statistics.median(seconds)
+
+
 def _backward_operators(sl) -> dict:
     """The fourth line: build, factor and step each default backward-Euler
-    operator (``_euler_step`` with ``implicit=True``)."""
+    operator (``_euler_step`` with ``implicit=True``), then step one whole
+    kinetic split step."""
     import numpy as np
     from sdelab import fpe
     t = time.perf_counter()
@@ -84,21 +98,31 @@ def _backward_operators(sl) -> dict:
             F, a = fpe._coeffs_1d(field)
         else:
             F, a = 0.0, fpe._kinetic_coeffs(field)[2]
-        builds, steps = [], []
+        builds = []
         for _ in range(6):
             t = time.perf_counter()
             step = fpe._euler_step(F, a, grid.h[-1], dt, True)
             builds.append(time.perf_counter() - t)
         u = np.ones(grid.shape)
-        for _ in range(20):
-            t = time.perf_counter()
-            step(u)
-            steps.append(time.perf_counter() - t)
+        step_s = _median_step_s(step, u)
         seconds[name] = {"nodes": grid.shape, "cold_s": round(builds[0], 5),
                          "warm_s": round(statistics.median(builds[1:]), 5),
-                         "step_s": round(statistics.median(steps), 6)}
+                         "step_s": round(step_s, 6),
+                         "cell_steps_per_s": round(u.size / step_s)}
+    # solve_kinetic's split step on the loop's last field, kinetic_langevin:
+    # x sweep, v sweep, backward v-diffusion
+    speed_x, speed_v, a_vv = fpe._kinetic_coeffs(field)
+    hx, hv = grid.h
+    sweep_x = fpe._euler_step(speed_x.T, 0.0, hx, dt, False)
+    sweep_v = fpe._euler_step(speed_v, 0.0, hv, dt, False)
+    diffuse = fpe._euler_step(0.0, a_vv, hv, dt, True)
+    step_s = _median_step_s(lambda u: diffuse(sweep_v(sweep_x(u.T).T)), u)
     return {"layer": "backward_euler", "scipy_import_s": round(scipy_s, 4),
-            "seconds": seconds, "peak_rss_mb": round(_peak_rss_mb(), 1)}
+            "seconds": seconds,
+            "kinetic_split_step": {"nodes": grid.shape,
+                                   "step_s": round(step_s, 6),
+                                   "cell_steps_per_s": round(u.size / step_s)},
+            "peak_rss_mb": round(_peak_rss_mb(), 1)}
 
 
 def _coupled_family(sl, fields, seed: int) -> dict:
