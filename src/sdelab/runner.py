@@ -245,17 +245,20 @@ def _plan(raw):
     seed = cfg["seed"]
     if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
         errors.append("seed: must be a nonnegative integer")
+
+    def unset(key):  # not a key of the scenario, or null where its default is
+        return cfg.get(key) is None and record.defaults.get(key) is None
     counts = ("n_paths", "n_points", "record_every")
     for key in ("T", "dt", "p", "C", "threshold") + counts:
         v, integer = cfg.get(key), key in counts
-        if v is not None and not (_number(v) and v > 0 and
-                                  (isinstance(v, int) or not integer)):
+        if not unset(key) and not (_number(v) and v > 0 and
+                                   (isinstance(v, int) or not integer)):
             errors.append(f"{key}: must be a " + ("positive integer" if integer
                           else "finite positive number"))
     for key in ("deltas", "epsilons", "alphas"):
         v = cfg.get(key)
-        if v is not None and (not isinstance(v, list) or not v or
-                              not all(_number(x) and x > 0 for x in v)):
+        if not unset(key) and (not isinstance(v, list) or not v or
+                               not all(_number(x) and x > 0 for x in v)):
             errors.append(f"{key}: must be a non-empty list of finite "
                           "positive numbers")
     least, most = record.n_deltas
@@ -263,6 +266,8 @@ def _plan(raw):
     if not least <= n <= (most or n):
         errors.append(f"deltas: takes {'exactly' if most else 'at least'} "
                       f"{least} scales")
+    if not isinstance(cfg.get("out", ""), str):
+        errors.append("out: must be a directory path")
     if "rtol" in cfg and not (_number(cfg["rtol"]) and cfg["rtol"] >= 0):
         errors.append("rtol: must be a finite number >= 0")
     if "x_span" in cfg and not (_number(cfg["x_span"]) and

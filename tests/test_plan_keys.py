@@ -4,8 +4,9 @@ them: ``p`` of the convergence scenarios, ``probe_kind`` and ``L_grid`` of
 |log eps|. Also values that ran silently or with a traceback: NaN, infinite
 and boolean numbers, a horizon or scale that overflows, a key inside
 grid, preset, law or u0 that nothing reads, a bad ``rtol``, a scenario
-that is not a name, a one-path convergence run (NaN standard errors) and a
-periodic kinetic grid (the solver's walls do not wrap). Each is a
+that is not a name, a one-path convergence run (NaN standard errors), a
+periodic kinetic grid (the solver's walls do not wrap) and a null where the
+scenario's default is not null. Each is a
 ConfigError keyed by its field, exit status 2 from both commands, no
 traceback and no run tree."""
 
@@ -66,6 +67,19 @@ UNPLANNED = {
     "kinetic_periodic_grid": ({"scenario": "kinetic_langevin",
                                "grid": {"periodic": True, "counts": [32, 32]}},
                               "grid"),
+    "epsilons_null_1d": ({"scenario": "thm_1d_convergence", "epsilons": None},
+                         "epsilons"),
+    "epsilons_null_2d": ({"scenario": "thm_multidim_convergence",
+                          "epsilons": None}, "epsilons"),
+    "record_every_null_1d": ({"scenario": "thm_1d_convergence",
+                              "record_every": None}, "record_every"),
+    "record_every_null_2d": ({"scenario": "thm_multidim_convergence",
+                              "record_every": None}, "record_every"),
+    "threshold_null": ({"scenario": "ae_uniqueness_map", "threshold": None},
+                       "threshold"),
+    "T_null_norm_audit": ({"scenario": "norm_audit", "T": None}, "T"),
+    "T_null_forward_pde": ({"scenario": "stationary_1d", "T": None}, "T"),
+    "out_null": ({"scenario": "elliptic_energy", "out": None}, "out"),
 }
 
 
@@ -96,6 +110,8 @@ def test_unplanned_key_fails_validate_and_run(case, tmp_path, capsys):
     {"scenario": "ae_uniqueness_map", "n_paths": 1},
     {"scenario": "kinetic_langevin",
      "grid": {"periodic": False, "counts": [32, 32]}},
+    {"scenario": "stationary_1d", "dt": None},
+    {"scenario": "norm_audit", "L_grid": None},
 ])
 def test_values_inside_the_rules_still_validate(cfg):
     validate_config(cfg)

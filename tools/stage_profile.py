@@ -34,9 +34,11 @@ tracemalloc peak of a second, traced call in MiB and in laws of one member)
 and ``q_l`` (``q_functional`` and ``l_eps_functional`` on the two finest
 members at four epsilons each). Then it prints one JSON line per
 repetition: the seconds of each stage (``noise``, ``euler``, ``histogram``,
-``pathwise_h1``) by ``time.perf_counter`` and the process's peak RSS so far
-in MB (``resource.getrusage``). The first repetition's ``peak_rss_mb`` is
-the peak of one repetition::
+``pathwise_h1``) by ``time.perf_counter``, the tracemalloc peak of a
+second, traced histogram call in laws of the repetition's histogram
+(``histogram_peak_laws``) and the process's peak RSS so far in MB
+(``resource.getrusage``). The first repetition's ``peak_rss_mb`` is the
+peak of one repetition::
 
     python tools/stage_profile.py --paths 100000 --reps 3
     python tools/stage_profile.py --src /path/to/other/src
@@ -237,12 +239,22 @@ def main(argv=None) -> int:
                           ensemble=ens)
         stages["pathwise_h1"] = time.perf_counter() - t
         z = abs(quad.value - path.value) / path.mc_stderr
-        del store, ens, law
+        law_bytes = law.density.nbytes
+        del law
+        tracemalloc.start()
+        try:
+            sl.Law.from_ensemble(ens)
+            hist_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del store, ens
         peak = _peak_rss_mb()
         print(json.dumps({"rep": rep, "paths": args.paths,
                           "stages_s": {k: round(v, 4) for k, v in stages.items()},
                           "total_s": round(sum(stages.values()), 4),
-                          "z": round(z, 3), "peak_rss_mb": round(peak, 1)}),
+                          "z": round(z, 3),
+                          "histogram_peak_laws": round(hist_peak / law_bytes, 2),
+                          "peak_rss_mb": round(peak, 1)}),
               flush=True)
     return 0
 
