@@ -113,17 +113,35 @@ class _Scenario:
 
 # -- validation ---------------------------------------------------------------
 
-# the keys read inside each config object, a u0's by its kind
-_KEYS = {"grid": ("bounds", "counts", "periodic"), "preset": ("name", "params"),
-         "law": ("mean", "std"), "u0 gaussian": ("kind", "mean", "std"),
-         "u0 spike": ("kind", "position"), "u0 uniform": ("kind",)}
-
-
 def _number(v) -> bool:
     """A finite number: no JSON boolean, NaN, infinity or integer beyond
     the float range."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and \
         abs(v) <= sys.float_info.max
+
+
+_ANY = (lambda v: True, "anything")
+_POSITIVE = (lambda v: _number(v) and v > 0, "a finite positive number")
+# each config key's rule, (test, what a value must be), or for an object the
+# rules of the keys it takes, a u0's by kind; the builders check the rest
+_RULES = {
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+             "a nonnegative integer"),
+    "out": (lambda v: isinstance(v, str), "a directory path"),
+    "preset": {"name": _ANY, "params": _ANY}, "law": {"mean": _ANY, "std": _ANY},
+    "grid": {"bounds": _ANY, "counts": _ANY, "periodic": _ANY},
+    "u0": {"gaussian": {"kind": _ANY, "mean": _ANY, "std": _ANY},
+           "spike": {"kind": _ANY, "position": _ANY}, "uniform": {"kind": _ANY}},
+    **dict.fromkeys(("T", "dt", "p", "C", "threshold"), _POSITIVE),
+    **dict.fromkeys(("n_paths", "n_points", "record_every"), (
+        lambda v: _POSITIVE[0](v) and isinstance(v, int), "a positive integer")),
+    **dict.fromkeys(("deltas", "epsilons", "alphas"), (
+        lambda v: isinstance(v, list) and bool(v) and all(map(_POSITIVE[0], v)),
+        "a non-empty list of finite positive numbers")),
+    "rtol": (lambda v: _number(v) and v >= 0, "a finite number >= 0"),
+    "x_span": (lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    **dict.fromkeys(("x0", "block_eps", "probe_kind", "L_grid"), _ANY),
+}
 
 
 def _built(key, fn, *args, overflow=None, memory=None):
@@ -241,44 +259,23 @@ def _plan(raw):
     cfg.update({k: _merged(cfg.get(k), v) for k, v in raw.items() if k in known})
     cfg["scenario"] = name
     cfg.setdefault("seed", 0)
-
-    seed = cfg["seed"]
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
-        errors.append("seed: must be a nonnegative integer")
-
-    def unset(key):  # not a key of the scenario, or null where its default is
-        return cfg.get(key) is None and record.defaults.get(key) is None
-    counts = ("n_paths", "n_points", "record_every")
-    for key in ("T", "dt", "p", "C", "threshold") + counts:
-        v, integer = cfg.get(key), key in counts
-        if not unset(key) and not (_number(v) and v > 0 and
-                                   (isinstance(v, int) or not integer)):
-            errors.append(f"{key}: must be a " + ("positive integer" if integer
-                          else "finite positive number"))
-    for key in ("deltas", "epsilons", "alphas"):
-        v = cfg.get(key)
-        if not unset(key) and (not isinstance(v, list) or not v or
-                               not all(_number(x) and x > 0 for x in v)):
-            errors.append(f"{key}: must be a non-empty list of finite "
-                          "positive numbers")
+    for key, v in cfg.items():  # null only where the default is null
+        rule = _RULES.get(key)  # none for the scenario name
+        if key == "u0" and isinstance(v, dict):  # an unknown kind: none
+            rule = rule.get(str(v.get("kind", "gaussian")))
+        if not rule or v is None and record.defaults.get(key, 0) is None:
+            continue
+        if isinstance(rule, tuple):
+            errors += [] if rule[0](v) else [f"{key}: must be {rule[1]}"]
+        elif isinstance(v, dict):  # any other value: its builder names it
+            errors += [f"{key}: {k} must be {rule[k][1]}" if k in rule else
+                       f"{key}: unknown key {k!r}; {key} takes {list(rule)}"
+                       for k, x in v.items() if k not in rule or not rule[k][0](x)]
     least, most = record.n_deltas
     n = len(cfg["deltas"]) if isinstance(cfg.get("deltas"), list) else least
     if not least <= n <= (most or n):
         errors.append(f"deltas: takes {'exactly' if most else 'at least'} "
                       f"{least} scales")
-    if not isinstance(cfg.get("out", ""), str):
-        errors.append("out: must be a directory path")
-    if "rtol" in cfg and not (_number(cfg["rtol"]) and cfg["rtol"] >= 0):
-        errors.append("rtol: must be a finite number >= 0")
-    if "x_span" in cfg and not (_number(cfg["x_span"]) and
-                                0 < cfg["x_span"] <= 1):
-        errors.append("x_span: must be a number in (0, 1]")
-    for key, spec in cfg.items():  # a u0 of unknown kind: _initial_density
-        if isinstance(spec, dict):
-            allowed = _KEYS.get(f"u0 {spec.get('kind', 'gaussian')}"
-                                if key == "u0" else key, spec)
-            errors += [f"{key}: unknown key {k!r}; {key} takes {list(allowed)}"
-                       for k in spec if k not in allowed]
     try:
         grid = _built("grid", lambda g: make_grid(
             len(g["bounds"]), [tuple(b) for b in g["bounds"]], g["counts"],
