@@ -140,11 +140,13 @@ def w11_norm(values, u: Law, T: float) -> NormValue:
 
 def _l_grid(L_grid) -> tuple:
     """``wphi_weak_norm``'s L grid: e^1 .. e^8 by default; a given grid must
-    start at or above L = e and keep phi(L)/L nondecreasing for the default
-    phi."""
+    be finite, start at or above L = e and keep phi(L)/L nondecreasing for
+    the default phi."""
     if L_grid is None:
         L_grid = tuple(np.exp(np.arange(1, 9)))
     L_grid = tuple(float(L) for L in L_grid)
+    if not np.all(np.isfinite(L_grid)):
+        raise ValueError("L grid must be finite")
     if min(L_grid) < np.e - 1e-9:
         raise ValueError("L grid must start at or above L = e")
     PhiWeight.default().check_superlinear(L_grid)

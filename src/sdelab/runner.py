@@ -135,12 +135,12 @@ _RULES = {
     **dict.fromkeys(("T", "dt", "p", "C", "threshold"), _POSITIVE),
     **dict.fromkeys(("n_paths", "n_points", "record_every"), (
         lambda v: _POSITIVE[0](v) and isinstance(v, int), "a positive integer")),
-    **dict.fromkeys(("deltas", "epsilons", "alphas"), (
+    **dict.fromkeys(("deltas", "epsilons", "alphas", "L_grid"), (
         lambda v: isinstance(v, list) and bool(v) and all(map(_POSITIVE[0], v)),
         "a non-empty list of finite positive numbers")),
     "rtol": (lambda v: _number(v) and v >= 0, "a finite number >= 0"),
     "x_span": (lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]"),
-    **dict.fromkeys(("x0", "block_eps", "probe_kind", "L_grid"), _ANY),
+    **dict.fromkeys(("x0", "block_eps", "probe_kind"), _ANY),
 }
 
 

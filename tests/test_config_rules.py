@@ -1,17 +1,70 @@
-"""Every config rule's error texts, pinned.
+"""Every config rule's error texts, pinned, and the rule on ``L_grid``.
 
 ``CORPUS`` holds one bad config per rule per scenario (a bad value, a value
 of another type and a null for each key, the deltas count and an unknown
 key) together with every bad config of the other config tests, each with
 the full list of its ConfigError texts, sorted: a change to how a config is
-checked keeps every text.
+checked keeps every text. ``NON_FINITE_L_GRID`` is the rule that ``L_grid``
+is a non-empty list of finite positive numbers, or null for its default: a
+ConfigError keyed ``L_grid``, exit status 2 from ``validate`` and ``run``,
+no traceback and no run tree.
 """
 
+import json
+
+import numpy as np
 import pytest
 
-from sdelab import ConfigError, validate_config
+from sdelab import ConfigError, Law, make_grid, validate_config
+from sdelab.norms import wphi_weak_norm
+from sdelab.runner import main
 
 NAN, INF = float("nan"), float("inf")
+SCALES = "must be a non-empty list of finite positive numbers"
+
+
+def _rejected(cfg, errors, tmp_path, capsys):
+    """cfg is a ConfigError with exactly ``errors``, exit 2 from both
+    commands, no traceback and no run tree."""
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert sorted(exc.value.errors) == errors
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # NaN and infinities as JSON extensions
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("invalid: ") == 2 * len(errors)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# -- L_grid -------------------------------------------------------------------
+
+NON_FINITE_L_GRID = {
+    "nan": [NAN],
+    "infinity": [INF],
+    "nan_after_e": [2.75, NAN],
+    "infinity_after_e": [2.75, INF],
+    "empty": [],
+    "negative": [2.75, -1.0],
+    "not_a_list": "x",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_L_GRID))
+def test_l_grid_takes_the_list_rule(case, tmp_path, capsys):
+    _rejected({"scenario": "norm_audit", "L_grid": NON_FINITE_L_GRID[case]},
+              [f"L_grid: {SCALES}"], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("L_grid", [[NAN], [INF], [2.75, NAN], [2.75, INF]])
+def test_wphi_weak_norm_rejects_a_non_finite_l_grid(L_grid):
+    grid = make_grid(1, (-4.0, 4.0), 64, periodic=True)
+    law = Law.gaussian(grid, [0.0, 1.0], 0.0, 1.0)
+    with pytest.raises(ValueError, match="L grid must be finite"):
+        wphi_weak_norm(np.zeros(grid.shape), law, 1.0, L_grid=L_grid)
 
 
 # -- every other error text ---------------------------------------------------
