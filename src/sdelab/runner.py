@@ -120,7 +120,13 @@ def _number(v) -> bool:
         abs(v) <= sys.float_info.max
 
 
-_ANY = (lambda v: True, "anything")
+def _free(v) -> bool:
+    """No JSON boolean in v, at any depth."""
+    inner = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
+    return not isinstance(v, bool) and all(map(_free, inner))
+
+
+_FREE = (_free, "free of booleans")
 _POSITIVE = (lambda v: _number(v) and v > 0, "a finite positive number")
 # each config key's rule, (test, what a value must be), or for an object the
 # rules of the keys it takes, a u0's by kind; the builders check the rest
@@ -128,10 +134,12 @@ _RULES = {
     "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
              "a nonnegative integer"),
     "out": (lambda v: isinstance(v, str), "a directory path"),
-    "preset": {"name": _ANY, "params": _ANY}, "law": {"mean": _ANY, "std": _ANY},
-    "grid": {"bounds": _ANY, "counts": _ANY, "periodic": _ANY},
-    "u0": {"gaussian": {"kind": _ANY, "mean": _ANY, "std": _ANY},
-           "spike": {"kind": _ANY, "position": _ANY}, "uniform": {"kind": _ANY}},
+    "preset": {"name": _FREE, "params": _FREE}, "law": {"mean": _FREE, "std": _FREE},
+    "grid": {"bounds": _FREE, "counts": _FREE, "periodic": (lambda v: all(
+        isinstance(x, bool) for x in (v if isinstance(v, list) else [v])),
+        "a boolean or a list of booleans")},
+    "u0": {"gaussian": {"kind": _FREE, "mean": _FREE, "std": _FREE},
+           "spike": {"kind": _FREE, "position": _FREE}, "uniform": {"kind": _FREE}},
     **dict.fromkeys(("T", "dt", "p", "C", "threshold"), _POSITIVE),
     **dict.fromkeys(("n_paths", "n_points", "record_every"), (
         lambda v: _POSITIVE[0](v) and isinstance(v, int), "a positive integer")),
@@ -140,7 +148,7 @@ _RULES = {
         "a non-empty list of finite positive numbers")),
     "rtol": (lambda v: _number(v) and v >= 0, "a finite number >= 0"),
     "x_span": (lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]"),
-    **dict.fromkeys(("x0", "block_eps", "probe_kind"), _ANY),
+    **dict.fromkeys(("x0", "block_eps", "probe_kind"), _FREE),
 }
 
 
@@ -276,13 +284,14 @@ def _plan(raw):
     if not least <= n <= (most or n):
         errors.append(f"deltas: takes {'exactly' if most else 'at least'} "
                       f"{least} scales")
-    try:
-        grid = _built("grid", lambda g: make_grid(
-            len(g["bounds"]), [tuple(b) for b in g["bounds"]], g["counts"],
-            g.get("periodic", False)), cfg["grid"])
-        field = _built("preset", lambda p: preset_field(
-            p.get("name"), p.get("params"), grid), cfg["preset"],
-            memory="grid")
+    try:  # not from a grid or preset that broke its rule
+        if not any(e.startswith(("grid:", "preset:")) for e in errors):
+            grid = _built("grid", lambda g: make_grid(
+                len(g["bounds"]), [tuple(b) for b in g["bounds"]],
+                g["counts"], g.get("periodic", False)), cfg["grid"])
+            field = _built("preset", lambda p: preset_field(
+                p.get("name"), p.get("params"), grid), cfg["preset"],
+                memory="grid")
     except ConfigError as exc:
         errors += exc.errors
     if errors:

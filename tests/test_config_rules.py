@@ -1,13 +1,16 @@
-"""Every config rule's error texts, pinned, and the rule on ``L_grid``.
+"""Every config rule's error texts, pinned, and the rules on JSON booleans
+and on ``L_grid``.
 
 ``CORPUS`` holds one bad config per rule per scenario (a bad value, a value
 of another type and a null for each key, the deltas count and an unknown
 key) together with every bad config of the other config tests, each with
 the full list of its ConfigError texts, sorted: a change to how a config is
-checked keeps every text. ``NON_FINITE_L_GRID`` is the rule that ``L_grid``
-is a non-empty list of finite positive numbers, or null for its default: a
-ConfigError keyed ``L_grid``, exit status 2 from ``validate`` and ``run``,
-no traceback and no run tree.
+checked keeps every text. ``BOOLEANS`` and ``NON_FINITE_L_GRID`` are the
+rules that no value but a grid's ``periodic`` holds a JSON boolean, that
+``periodic`` holds nothing else, and that ``L_grid`` is a non-empty list
+of finite positive numbers, or null for its default. Each is a ConfigError
+keyed by its top-level key, exit status 2 from ``validate`` and ``run``, no
+traceback and no run tree.
 """
 
 import json
@@ -21,6 +24,8 @@ from sdelab.runner import main
 
 NAN, INF = float("nan"), float("inf")
 SCALES = "must be a non-empty list of finite positive numbers"
+FREE = "must be free of booleans"
+PERIODIC = "periodic must be a boolean or a list of booleans"
 
 
 def _rejected(cfg, errors, tmp_path, capsys):
@@ -38,6 +43,67 @@ def _rejected(cfg, errors, tmp_path, capsys):
     assert err.count("invalid: ") == 2 * len(errors)
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# -- JSON booleans ------------------------------------------------------------
+
+# (config, its errors)
+BOOLEANS = {
+    "preset_param": ({"scenario": "norm_audit", "preset": {
+        "name": "sqrt_diffusion", "params": {"kappa": True}}},
+        [f"preset: params {FREE}"]),
+    "preset_name": ({"scenario": "elliptic_energy",
+                     "preset": {"name": True}}, [f"preset: name {FREE}"]),
+    "law_std": ({"scenario": "norm_audit", "law": {"std": True}},
+                [f"law: std {FREE}"]),
+    "law_mean": ({"scenario": "norm_audit", "law": {"mean": False}},
+                 [f"law: mean {FREE}"]),
+    "x0": ({"scenario": "thm_1d_convergence", "x0": True}, [f"x0: {FREE}"]),
+    "x0_component": ({"scenario": "thm_multidim_convergence",
+                      "x0": [0.0, True]}, [f"x0: {FREE}"]),
+    "grid_bound": ({"scenario": "stationary_1d",
+                    "grid": {"bounds": [[False, 6.0]]}},
+                   [f"grid: bounds {FREE}"]),
+    "grid_count": ({"scenario": "elliptic_energy",
+                    "grid": {"counts": [True]}}, [f"grid: counts {FREE}"]),
+    "grid_periodic_numbers": ({"scenario": "kinetic_langevin",
+                               "grid": {"periodic": [0, 0]}},
+                              [f"grid: {PERIODIC}"]),
+    "grid_periodic_number": ({"scenario": "norm_audit",
+                              "grid": {"periodic": 1}}, [f"grid: {PERIODIC}"]),
+    "grid_periodic_null": ({"scenario": "stationary_1d",
+                            "grid": {"periodic": None}},
+                           [f"grid: {PERIODIC}"]),
+    "u0_mean": ({"scenario": "stationary_1d", "u0": {"mean": True}},
+                [f"u0: mean {FREE}"]),
+    "u0_std": ({"scenario": "kinetic_langevin", "u0": {"std": [0.3, True]}},
+               [f"u0: std {FREE}"]),
+    "u0_position": ({"scenario": "kinetic_langevin",
+                     "u0": {"kind": "spike", "position": [True, 0.0]}},
+                    [f"u0: position {FREE}"]),
+    "block_eps": ({"scenario": "thm_1d_convergence",
+                   "block_eps": [1e-10, True]}, [f"block_eps: {FREE}"]),
+    "probe_kind": ({"scenario": "norm_audit", "probe_kind": True},
+                   [f"probe_kind: {FREE}"]),
+    "L_grid": ({"scenario": "norm_audit", "L_grid": [True]},
+               [f"L_grid: {SCALES}"]),
+    "two_keys": ({"scenario": "stationary_1d", "u0": {"std": False},
+                  "grid": {"periodic": "no"}},
+                 [f"grid: {PERIODIC}", f"u0: std {FREE}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEANS))
+def test_a_boolean_is_a_config_error_of_its_key(case, tmp_path, capsys):
+    _rejected(*BOOLEANS[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"scenario": "kinetic_langevin", "grid": {"periodic": [False, False]}},
+    {"scenario": "norm_audit", "grid": {"periodic": [True]}},
+])
+def test_a_periodic_list_of_booleans_validates(cfg):
+    validate_config(cfg)
 
 
 # -- L_grid -------------------------------------------------------------------
