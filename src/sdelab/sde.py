@@ -209,11 +209,17 @@ def _locate(axes, coords):
     return flat, w
 
 
-def _table(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Grid values (*grid.shape, C) as (C, nodes) of the grid padded by one
-    node per side, so that a cell's upper corners follow the extension rule."""
-    padded = grid.pad(values, (1,) * grid.d)
-    return np.ascontiguousarray(padded.reshape(-1, values.shape[-1]).T)
+def _table(grid: Grid, channels, out: np.ndarray) -> np.ndarray:
+    """Write each grid-shaped channel, padded by one node per side so that
+    a cell's upper corners follow the extension rule, into its row of
+    ``out`` (C, nodes of the padded grid), one channel at a time."""
+    for row, values in zip(out, channels):
+        row[:] = grid.pad(values, (1,) * grid.d).ravel()
+    return out
+
+
+def _padded_nodes(grid: Grid) -> int:
+    return int(np.prod([n + 2 for n in grid.shape]))
 
 
 def _combine(table: np.ndarray, flat, w, corners, out=None) -> np.ndarray:
@@ -234,7 +240,9 @@ def _interpolate(values: np.ndarray, grid: Grid, x: np.ndarray) -> np.ndarray:
     as a per-path trapezoid) adds in the same order as over x itself.
     """
     extra = values.shape[grid.d:]
-    table = _table(grid, values.reshape(grid.shape + (-1,)))
+    channels = np.moveaxis(values.reshape(grid.shape + (-1,)), -1, 0)
+    table = _table(grid, channels, np.empty(
+        (len(channels), _padded_nodes(grid)), values.dtype))
     axes, corners = _axes(grid)
     out = np.empty_like(x[..., :1], shape=x.shape[:-1] + table.shape[:1])
     _combine(table, *_locate(axes, np.moveaxis(x, -1, 0)), corners,
@@ -324,12 +332,15 @@ def simulate_family(fields, x0, T: float, store: BrownianStore,
     walls = [(a, grid.lower[a], grid.upper[a]) for a in range(d)
              if not grid.periodic[a]]
     hits = np.zeros((K, N), dtype=np.int64)
-    # one table for the family: member m's nodes follow those of m - 1
-    table = np.concatenate([_table(grid, np.concatenate(
-        [f.drift, f.diffusion.reshape(grid.shape + (d * r,))], axis=-1))
-        for f in fields], axis=-1)
-    offsets = corners[:, None, None] \
-        + table.shape[-1] // K * np.arange(K)[:, None]  # (2^d, K, 1)
+    # one table for the family: member m's nodes follow those of m - 1,
+    # its channels the drift components, then the diffusion entries
+    nodes = _padded_nodes(grid)
+    table = np.empty((d + d * r, K * nodes))
+    for m, f in enumerate(fields):
+        _table(grid, [f.drift[..., i] for i in range(d)] + [
+            f.diffusion[..., i, j] for i in range(d) for j in range(r)],
+            table[:, m * nodes:(m + 1) * nodes])
+    offsets = corners[:, None, None] + nodes * np.arange(K)[:, None]  # (2^d, K, 1)
 
     def walk(part):
         """The step loop on one path range: None or the first (step, member,
