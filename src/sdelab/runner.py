@@ -122,33 +122,52 @@ def _number(v) -> bool:
 
 def _free(v) -> bool:
     """No JSON boolean in v, at any depth."""
-    inner = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
-    return not isinstance(v, bool) and all(map(_free, inner))
+    if isinstance(v, dict):
+        return all(map(_free, v.values()))
+    if isinstance(v, list):
+        return all(map(_free, v))
+    return not isinstance(v, bool)
 
 
 _FREE = (_free, "free of booleans")
 _POSITIVE = (lambda v: _number(v) and v > 0, "a finite positive number")
+_COUNT = (lambda v: _number(v) and v > 0 and isinstance(v, int),
+          "a positive integer")
+_SCALES = (lambda v: isinstance(v, list) and bool(v) and
+           all(_number(x) and x > 0 for x in v),
+           "a non-empty list of finite positive numbers")
+_PERIODIC = (lambda v: all(isinstance(x, bool) for x in
+                           (v if isinstance(v, list) else [v])),
+             "a boolean or a list of booleans")
 # each config key's rule, (test, what a value must be), or for an object the
 # rules of the keys it takes, a u0's by kind; the builders check the rest
 _RULES = {
     "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
              "a nonnegative integer"),
     "out": (lambda v: isinstance(v, str), "a directory path"),
-    "preset": {"name": _FREE, "params": _FREE}, "law": {"mean": _FREE, "std": _FREE},
-    "grid": {"bounds": _FREE, "counts": _FREE, "periodic": (lambda v: all(
-        isinstance(x, bool) for x in (v if isinstance(v, list) else [v])),
-        "a boolean or a list of booleans")},
-    "u0": {"gaussian": {"kind": _FREE, "mean": _FREE, "std": _FREE},
-           "spike": {"kind": _FREE, "position": _FREE}, "uniform": {"kind": _FREE}},
-    **dict.fromkeys(("T", "dt", "p", "C", "threshold"), _POSITIVE),
-    **dict.fromkeys(("n_paths", "n_points", "record_every"), (
-        lambda v: _POSITIVE[0](v) and isinstance(v, int), "a positive integer")),
-    **dict.fromkeys(("deltas", "epsilons", "alphas", "L_grid"), (
-        lambda v: isinstance(v, list) and bool(v) and all(map(_POSITIVE[0], v)),
-        "a non-empty list of finite positive numbers")),
+    "T": _POSITIVE,
+    "dt": _POSITIVE,
+    "p": _POSITIVE,
+    "C": _POSITIVE,
+    "threshold": _POSITIVE,
+    "n_paths": _COUNT,
+    "n_points": _COUNT,
+    "record_every": _COUNT,
+    "deltas": _SCALES,
+    "epsilons": _SCALES,
+    "alphas": _SCALES,
+    "L_grid": _SCALES,
     "rtol": (lambda v: _number(v) and v >= 0, "a finite number >= 0"),
     "x_span": (lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]"),
-    **dict.fromkeys(("x0", "block_eps", "probe_kind"), _FREE),
+    "x0": _FREE,
+    "block_eps": _FREE,
+    "probe_kind": _FREE,
+    "grid": {"bounds": _FREE, "counts": _FREE, "periodic": _PERIODIC},
+    "preset": {"name": _FREE, "params": _FREE},
+    "law": {"mean": _FREE, "std": _FREE},
+    "u0": {"gaussian": {"kind": _FREE, "mean": _FREE, "std": _FREE},
+           "spike": {"kind": _FREE, "position": _FREE},
+           "uniform": {"kind": _FREE}},
 }
 
 
@@ -251,8 +270,9 @@ def _plan(raw):
     """(cfg, plan): the config with its scenario's defaults, and every input
     of its run except the numbers (noise, paths, PDE steps), each built or
     checked by the library function the run calls. A ConfigError lists every
-    bad value, grid and preset, or else the first input the scenario's plan
-    pieces cannot build, keyed by the config field(s) it comes from."""
+    bad value, grid and preset (a grid or preset with a value that breaks its
+    rule is not built), or else the first input the scenario's plan pieces
+    cannot build, keyed by the config field(s) it comes from."""
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     name = raw.get("scenario")
@@ -267,31 +287,42 @@ def _plan(raw):
     cfg.update({k: _merged(cfg.get(k), v) for k, v in raw.items() if k in known})
     cfg["scenario"] = name
     cfg.setdefault("seed", 0)
-    for key, v in cfg.items():  # null only where the default is null
+    broken = set()  # the keys whose value breaks its rule
+    for key, v in cfg.items():
         rule = _RULES.get(key)  # none for the scenario name
         if key == "u0" and isinstance(v, dict):  # an unknown kind: none
             rule = rule.get(str(v.get("kind", "gaussian")))
         if not rule or v is None and record.defaults.get(key, 0) is None:
-            continue
+            continue  # null only where the default is null
         if isinstance(rule, tuple):
-            errors += [] if rule[0](v) else [f"{key}: must be {rule[1]}"]
-        elif isinstance(v, dict):  # any other value: its builder names it
-            errors += [f"{key}: {k} must be {rule[k][1]}" if k in rule else
-                       f"{key}: unknown key {k!r}; {key} takes {list(rule)}"
-                       for k, x in v.items() if k not in rule or not rule[k][0](x)]
+            if not rule[0](v):
+                errors.append(f"{key}: must be {rule[1]}")
+                broken.add(key)
+            continue
+        if not isinstance(v, dict):  # any other value: its builder names it
+            continue
+        for k in v:
+            if k not in rule:
+                errors.append(f"{key}: unknown key {k!r}; {key} takes "
+                              f"{list(rule)}")
+        for k, x in v.items():
+            if k in rule and not rule[k][0](x):
+                errors.append(f"{key}: {k} must be {rule[k][1]}")
+                broken.add(key)
     least, most = record.n_deltas
     n = len(cfg["deltas"]) if isinstance(cfg.get("deltas"), list) else least
     if not least <= n <= (most or n):
         errors.append(f"deltas: takes {'exactly' if most else 'at least'} "
                       f"{least} scales")
-    try:  # not from a grid or preset that broke its rule
-        if not any(e.startswith(("grid:", "preset:")) for e in errors):
+    try:  # neither a grid nor a preset that broke its rule is built
+        if "grid" not in broken:
             grid = _built("grid", lambda g: make_grid(
                 len(g["bounds"]), [tuple(b) for b in g["bounds"]],
                 g["counts"], g.get("periodic", False)), cfg["grid"])
-            field = _built("preset", lambda p: preset_field(
-                p.get("name"), p.get("params"), grid), cfg["preset"],
-                memory="grid")
+            if "preset" not in broken:
+                field = _built("preset", lambda p: preset_field(
+                    p.get("name"), p.get("params"), grid), cfg["preset"],
+                    memory="grid")
     except ConfigError as exc:
         errors += exc.errors
     if errors:

@@ -1284,6 +1284,72 @@ CORPUS = {
     "x_span_zero": (
         {"scenario": "ae_uniqueness_map", "x_span": 0.0},
         ["x_span: must be a number in (0, 1]"]),
+    # an unknown key in an object does not keep its grid or preset from
+    # being built, so both builders' errors are listed with it
+    "combined__grid_unknown_key_and_bad_preset": (
+        {"scenario": "elliptic_energy", "grid": {"bogus": 1},
+         "preset": {"name": "foo"}},
+        [
+            "grid: unknown key 'bogus'; grid takes ['bounds', 'counts', "
+            "'periodic']",
+            "preset: unknown preset 'foo'; choose from ('ou', 'heat', "
+            "'sqrt_diffusion', 'kink_drift', 'degenerate_1d', "
+            "'kinetic_langevin')",
+        ]),
+    "combined__grid_unknown_key_and_bad_count": (
+        {"scenario": "elliptic_energy", "grid": {"bogus": 1, "counts": [3]}},
+        [
+            "grid: cell count must be an integer >= 8, got 3",
+            "grid: unknown key 'bogus'; grid takes ['bounds', 'counts', "
+            "'periodic']",
+        ]),
+    "combined__bad_preset_and_bad_grid_count": (
+        {"scenario": "stationary_1d", "grid": {"counts": [3]},
+         "preset": {"name": "foo"}},
+        ["grid: cell count must be an integer >= 8, got 3"]),
+    "combined__preset_unknown_key_and_bad_grid_bounds": (
+        {"scenario": "norm_audit", "preset": {"bogus": 1},
+         "grid": {"bounds": [[4.0, -4.0]]}},
+        [
+            "grid: grid bounds must satisfy lower < upper",
+            "preset: unknown key 'bogus'; preset takes ['name', 'params']",
+        ]),
+    "combined__preset_unknown_key_and_bad_preset_name": (
+        {"scenario": "thm_1d_convergence",
+         "preset": {"name": "foo", "bogus": 1}},
+        [
+            "preset: unknown key 'bogus'; preset takes ['name', 'params']",
+            "preset: unknown preset 'foo'; choose from ('ou', 'heat', "
+            "'sqrt_diffusion', 'kink_drift', 'degenerate_1d', "
+            "'kinetic_langevin')",
+        ]),
+    "combined__grid_and_preset_unknown_keys_and_bad_preset": (
+        {"scenario": "kinetic_langevin", "grid": {"bogus": 1},
+         "preset": {"bogus": 2, "name": "foo"}},
+        [
+            "grid: unknown key 'bogus'; grid takes ['bounds', 'counts', "
+            "'periodic']",
+            "preset: unknown key 'bogus'; preset takes ['name', 'params']",
+            "preset: unknown preset 'foo'; choose from ('ou', 'heat', "
+            "'sqrt_diffusion', 'kink_drift', 'degenerate_1d', "
+            "'kinetic_langevin')",
+        ]),
+    "combined__law_unknown_key_and_bad_preset": (
+        {"scenario": "norm_audit", "law": {"bogus": 1},
+         "preset": {"name": "foo"}},
+        [
+            "law: unknown key 'bogus'; law takes ['mean', 'std']",
+            "preset: unknown preset 'foo'; choose from ('ou', 'heat', "
+            "'sqrt_diffusion', 'kink_drift', 'degenerate_1d', "
+            "'kinetic_langevin')",
+        ]),
+    "combined__u0_unknown_key_and_bad_grid_count": (
+        {"scenario": "stationary_1d", "u0": {"bogus": 1},
+         "grid": {"counts": [3]}},
+        [
+            "grid: cell count must be an integer >= 8, got 3",
+            "u0: unknown key 'bogus'; u0 takes ['kind', 'mean', 'std']",
+        ]),
 }
 
 
