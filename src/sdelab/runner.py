@@ -53,6 +53,7 @@ from .sde import (
     _check_family,
     _check_paths,
     _check_uniqueness,
+    _philox,
     cauchy_diagnostic,
     dyadic_block_averages,
     dyadic_eps_schedule,
@@ -225,9 +226,11 @@ def _stationary_check(cfg, field, law0):
 
 
 def _family(cfg, plan):
-    """A shared-noise family's mollified fields, dt and family check, from
-    x0 or, for a uniqueness map, n_paths paths per x-point."""
+    """A shared-noise family's noise seed (one Philox accepts), mollified
+    fields, dt and family check, from x0 or, for a uniqueness map, n_paths
+    paths per x-point."""
     field = plan["field"]
+    _built("seed", _philox, cfg["seed"])
     plan["fields"] = _built("deltas", lambda: [
         mollify(field, d) for d in sorted(cfg["deltas"], reverse=True)])
     plan["dt"] = _built("dt", _pick_dt, cfg["T"], min(

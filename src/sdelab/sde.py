@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+def _philox(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by ``seed`` as a Python int, so that every
+    seed below 2^128 is a key (below 2^64 with the stream of
+    ``key=np.uint64(seed)``); Philox raises a ValueError for a larger one."""
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
 class BrownianStore:
     """Shared Brownian increments at the finest time step.
 
@@ -73,7 +80,7 @@ class BrownianStore:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         if n_paths <= 0 or n_steps <= 0 or r <= 0:
             raise ValueError("invalid store dimensions")
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        rng = _philox(seed)
         blocks = path_blocks(n_paths, n_steps * r)
         draw = np.empty((max(b.stop - b.start for b in blocks), n_steps, r))
         buf = np.empty((n_steps, r, n_paths))
@@ -510,11 +517,11 @@ def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0) -> Report:
     T = float(ensembles[0].times[-1])
     for n in range(k - 1):
         # eta[n, m] reads the law of the coarser member n only: one law is
-        # alive at a time
+        # alive at a time, and no pair's (N, nt) gaps while it is built
         law = Law.from_ensemble(ensembles[n])
         for m in range(n + 1, k):
-            delta = _coupled(ensembles[n], ensembles[m])
-            samples = np.max(delta, axis=1) ** p
+            samples = np.max(_coupled(ensembles[n], ensembles[m]),
+                             axis=1) ** p
             esup[n, m] = esup[m, n] = samples.mean()
             se[n, m] = se[m, n] = samples.std(ddof=1) / np.sqrt(samples.size)
             eta[n, m] = eta[m, n] = coefficient_distance(

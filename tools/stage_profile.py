@@ -32,13 +32,18 @@ fields, stage by stage: ``generate`` (a store of 1 000 paths x 256 steps),
 their path-steps/s), ``cauchy`` (``cauchy_diagnostic`` at p = 2, with the
 tracemalloc peak of a second, traced call in MiB and in laws of one member)
 and ``q_l`` (``q_functional`` and ``l_eps_functional`` on the two finest
-members at four epsilons each). Then it prints one JSON line per
-repetition: the seconds of each stage (``noise``, ``euler``, ``histogram``,
-``pathwise_h1``) by ``time.perf_counter``, the tracemalloc peak of a
-second, traced histogram call in laws of the repetition's histogram
-(``histogram_peak_laws``) and the process's peak RSS so far in MB
+members at four epsilons each). A sixth line times ``cauchy_diagnostic``
+on the default ``thm_multidim_convergence`` plan, the 2-D eta layer that no
+``perfbench`` workload reaches: on the plan's store and four-member family
+(``simulate_family``), the seconds of one call and the tracemalloc peak of
+a second, traced call in MiB and in laws of one member. Then it prints one
+JSON line per repetition: the seconds of each stage (``noise``, ``euler``,
+``histogram``, ``pathwise_h1``) by ``time.perf_counter``, the tracemalloc
+peak of a second, traced histogram call in laws of the repetition's
+histogram (``histogram_peak_laws``) and the process's peak RSS so far in MB
 (``resource.getrusage``). The first repetition's ``peak_rss_mb`` is the
-peak of one repetition::
+peak of one repetition when it exceeds the sixth line's (it does at
+100 000 paths)::
 
     python tools/stage_profile.py --paths 100000 --reps 3
     python tools/stage_profile.py --src /path/to/other/src
@@ -139,29 +144,54 @@ def _coupled_family(sl, fields, seed: int) -> dict:
     ens = [sl.simulate_ensemble(f, 0.0, 1.0, store, record_every=8)
            for f in fields]
     stages["walks"] = time.perf_counter() - t
-    t = time.perf_counter()
-    sl.cauchy_diagnostic(ens, p=2.0)
-    stages["cauchy"] = time.perf_counter() - t
-    tracemalloc.start()
-    try:
-        sl.cauchy_diagnostic(ens, p=2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cauchy = _traced_cauchy(sl, ens)
+    stages["cauchy"] = cauchy.pop("cauchy_s")
     t = time.perf_counter()
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         sl.q_functional(ens[-2], ens[-1], eps)
     for eps in (0.5, 0.1, 0.01, 0.001):
         sl.l_eps_functional(ens[-2], ens[-1], eps)
     stages["q_l"] = time.perf_counter() - t
-    law_bytes = ens[0].times.size * fields[0].grid.shape[0] * 8
     return {"pass": "coupled_family", "paths": n_paths, "steps": n_steps,
             "members": len(fields),
             "stages_s": {k: round(v, 4) for k, v in stages.items()},
             "path_steps_per_s": round(len(fields) * n_paths * n_steps
                                       / stages["walks"]),
+            **cauchy, "peak_rss_mb": round(_peak_rss_mb(), 1)}
+
+
+def _traced_cauchy(sl, ens) -> dict:
+    """Seconds of one ``cauchy_diagnostic`` call at p = 2 and the
+    tracemalloc peak of a second, traced call, in MiB and in laws of one
+    member."""
+    t = time.perf_counter()
+    sl.cauchy_diagnostic(ens, p=2.0)
+    seconds = time.perf_counter() - t
+    tracemalloc.start()
+    try:
+        sl.cauchy_diagnostic(ens, p=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    law_bytes = ens[0].times.size * math.prod(ens[0].grid.shape) * 8
+    return {"cauchy_s": round(seconds, 4),
             "cauchy_peak_mib": round(peak / 2 ** 20, 2),
-            "cauchy_peak_laws": round(peak / law_bytes, 2),
+            "cauchy_peak_laws": round(peak / law_bytes, 2)}
+
+
+def _multidim_cauchy(sl) -> dict:
+    """The sixth line: ``cauchy_diagnostic`` on the default
+    ``thm_multidim_convergence`` plan."""
+    from sdelab import runner
+    cfg, plan = runner._plan({"scenario": "thm_multidim_convergence"})
+    store = sl.BrownianStore.generate(cfg["seed"], cfg["n_paths"],
+                                      plan["steps"], plan["dt"],
+                                      plan["field"].r)
+    ens = sl.simulate_family(plan["fields"], cfg["x0"], cfg["T"], store,
+                             record_every=cfg["record_every"])
+    return {"pass": "multidim_cauchy", "paths": cfg["n_paths"],
+            "stamps": ens[0].times.size, "nodes": plan["grid"].shape,
+            "members": len(ens), **_traced_cauchy(sl, ens),
             "peak_rss_mb": round(_peak_rss_mb(), 1)}
 
 
@@ -218,6 +248,7 @@ def main(argv=None) -> int:
 
     print(json.dumps(_backward_operators(sl)), flush=True)
     print(json.dumps(_coupled_family(sl, family, args.seed)), flush=True)
+    print(json.dumps(_multidim_cauchy(sl)), flush=True)
 
     grid = sl.make_grid(1, (-6.0, 6.0), 1024)
     field = sl.preset_field("ou", {}, grid)
