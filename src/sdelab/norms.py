@@ -19,7 +19,7 @@ from .fields import Grid, mollify_array
 from .laws import Law, _stamps_through
 from .maxops import gradient_magnitude, half_derivative, maximal, maximal_modified
 from .report import Report, Serialisable
-from .sde import path_time_integrals
+from .sde import _estimate, path_time_integrals
 
 __all__ = [
     "NormValue",
@@ -88,19 +88,6 @@ def _sq_mag(comp: np.ndarray) -> np.ndarray:
     return np.sum(comp * comp, axis=-1)
 
 
-def _pathwise_time_integral(ensemble, weight_grid: np.ndarray, T: float):
-    """Per-path trapezoid of a grid function along paths; mean and stderr."""
-    grid = ensemble.grid
-    if grid.d != 1:
-        raise ValueError("pathwise estimators are one-dimensional")
-    keep = _stamps_through(ensemble.times, T)
-    per_path = path_time_integrals(ensemble.paths, grid, weight_grid,
-                                   ensemble.times[keep], keep)
-    mean = float(per_path.mean())
-    stderr = float(per_path.std(ddof=1) / np.sqrt(per_path.size))
-    return mean, stderr
-
-
 def _sqrt_norm(kind, w, u: Law, T: float, method: str, ensemble) -> NormValue:
     """sqrt of int int w u dx dt: by grid quadrature, or from the pathwise
     mean over ``ensemble`` with its standard error carried through the root."""
@@ -111,8 +98,12 @@ def _sqrt_norm(kind, w, u: Law, T: float, method: str, ensemble) -> NormValue:
         raise ValueError(f"unknown method {method!r}")
     elif ensemble is None:
         raise ValueError("pathwise method needs an ensemble")
+    elif ensemble.grid.d != 1:
+        raise ValueError("pathwise estimators are one-dimensional")
     else:
-        total, se = _pathwise_time_integral(ensemble, w, T)
+        keep = _stamps_through(ensemble.times, T)
+        total, se = _estimate(path_time_integrals(
+            ensemble.paths, ensemble.grid, w, ensemble.times[keep], keep))
     value = float(np.sqrt(max(total, 0.0)))
     if se is not None:
         mc = float(se / (2.0 * value)) if value > 0 else float(np.sqrt(se))

@@ -140,8 +140,9 @@ _SCALES = (lambda v: isinstance(v, list) and bool(v) and
 _PERIODIC = (lambda v: all(isinstance(x, bool) for x in
                            (v if isinstance(v, list) else [v])),
              "a boolean or a list of booleans")
-# each config key's rule, (test, what a value must be), or for an object the
-# rules of the keys it takes, a u0's by kind; the builders check the rest
+# each config key's rule, (test, what a value must be), or a list of rules
+# whose first broken one is named, or for an object the rules of the keys it
+# takes, a u0's by kind; the builders check the rest
 _RULES = {
     "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
              "a nonnegative integer"),
@@ -161,7 +162,8 @@ _RULES = {
     "rtol": (lambda v: _number(v) and v >= 0, "a finite number >= 0"),
     "x_span": (lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]"),
     "x0": _FREE,
-    "block_eps": _FREE,
+    "block_eps": [_FREE, (lambda v: isinstance(v, list) and len(v) == 2 and
+                          all(map(_number, v)), "a list of two finite numbers")],
     "probe_kind": _FREE,
     "grid": {"bounds": _FREE, "counts": _FREE, "periodic": _PERIODIC},
     "preset": {"name": _FREE, "params": _FREE},
@@ -295,6 +297,8 @@ def _plan(raw):
         rule = _RULES.get(key)  # none for the scenario name
         if key == "u0" and isinstance(v, dict):  # an unknown kind: none
             rule = rule.get(str(v.get("kind", "gaussian")))
+        if isinstance(rule, list):  # its first broken rule, or none
+            rule = next((r for r in rule if not r[0](v)), None)
         if not rule or v is None and record.defaults.get(key, 0) is None:
             continue  # null only where the default is null
         if isinstance(rule, tuple):
@@ -302,7 +306,9 @@ def _plan(raw):
                 errors.append(f"{key}: must be {rule[1]}")
                 broken.add(key)
             continue
-        if not isinstance(v, dict):  # any other value: its builder names it
+        if not isinstance(v, dict):
+            errors.append(f"{key}: must be an object")
+            broken.add(key)
             continue
         for k in v:
             if k not in rule:

@@ -402,30 +402,41 @@ def simulate_ensemble(field: CoefficientField, x0, T: float,
 
 
 def _coupled(ensA: PathEnsemble, ensB: PathEnsemble) -> np.ndarray:
+    """The pair gate: |X^A - X^B| per path and stamp, (N, nt), for two
+    ensembles of one noise, one path count and one recording grid."""
     if ensA.store is not ensB.store and not ensA.store.same_noise_as(ensB.store):
         raise ValueError("ensembles must share the same Brownian store")
+    if ensA.n_paths != ensB.n_paths:
+        raise ValueError(f"ensembles must have the same number of paths "
+                         f"({ensA.n_paths} and {ensB.n_paths})")
     if ensA.times.shape != ensB.times.shape or \
             not np.allclose(ensA.times, ensB.times):
         raise ValueError("ensembles must share the recording time grid")
     return np.linalg.norm(ensA.paths - ensB.paths, axis=-1)  # (N, nt)
 
 
-def _series(kind, params, times, samples) -> FunctionalSeries:
+def _estimate(samples: np.ndarray):
+    """The Monte Carlo mean over paths (axis 0) and its standard error."""
     _check_paths(samples.shape[0])
-    return FunctionalSeries(
-        kind, params, times,
-        samples.mean(axis=0),
-        samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0]),
-    )
+    return (samples.mean(axis=0),
+            samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0]))
+
+
+def _pair_series(kind, ensA: PathEnsemble, ensB: PathEnsemble, eps: float,
+                 samples) -> FunctionalSeries:
+    """The series of ``samples(delta)`` over the coupled pair's gaps."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    delta = _coupled(ensA, ensB)
+    return FunctionalSeries(kind, {"eps": eps}, ensA.times,
+                            *_estimate(samples(delta)))
 
 
 def q_functional(ensA: PathEnsemble, ensB: PathEnsemble,
                  eps: float) -> FunctionalSeries:
     """E log(1 + |Delta_t|^2 / eps^2) per recorded stamp."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    delta = _coupled(ensA, ensB)
-    return _series("Q", {"eps": eps}, ensA.times, np.log1p((delta / eps) ** 2))
+    return _pair_series("Q", ensA, ensB, eps,
+                        lambda delta: np.log1p((delta / eps) ** 2))
 
 
 def q_tilde_functional(ensA: PathEnsemble, ensB: PathEnsemble, eps: float,
@@ -438,17 +449,15 @@ def q_tilde_functional(ensA: PathEnsemble, ensB: PathEnsemble, eps: float,
     """
     if ensA.grid.d != 1:
         raise ValueError("q_tilde is one-dimensional")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    delta = _coupled(ensA, ensB)
-    lam = 4.0 * (ensA.interp_values(h_tilde, ensA.paths[..., 0])
-                 + ensB.interp_values(h_tilde, ensB.paths[..., 0]))
-    t = ensA.times
-    U = np.zeros_like(lam)
-    dt = np.diff(t)
-    U[:, 1:] = np.cumsum(0.5 * (lam[:, 1:] + lam[:, :-1]) * dt, axis=1)
-    samples = np.exp(-U) * delta * np.log1p((delta / eps) ** 2)
-    return _series("Qtilde", {"eps": eps}, t, samples)
+
+    def samples(delta):
+        lam = 4.0 * (ensA.interp_values(h_tilde, ensA.paths[..., 0])
+                     + ensB.interp_values(h_tilde, ensB.paths[..., 0]))
+        U = np.zeros_like(lam)
+        U[:, 1:] = np.cumsum(0.5 * (lam[:, 1:] + lam[:, :-1])
+                             * np.diff(ensA.times), axis=1)
+        return np.exp(-U) * delta * np.log1p((delta / eps) ** 2)
+    return _pair_series("Qtilde", ensA, ensB, eps, samples)
 
 
 def _smoothstep(s):
@@ -465,11 +474,8 @@ def plateau_bump(x, eps: float):
 def l_eps_functional(ensA: PathEnsemble, ensB: PathEnsemble,
                      eps: float) -> FunctionalSeries:
     """E[L_eps(Delta_t)] per stamp for the plateau cutoff ``plateau_bump``."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    delta = _coupled(ensA, ensB)
-    return _series("L_eps[plateau]", {"eps": eps}, ensA.times,
-                   plateau_bump(delta, eps))
+    return _pair_series("L_eps[plateau]", ensA, ensB, eps,
+                        lambda delta: plateau_bump(delta, eps))
 
 
 # -- convergence and uniqueness diagnostics ----------------------------------
@@ -477,8 +483,11 @@ def l_eps_functional(ensA: PathEnsemble, ensB: PathEnsemble,
 
 def coefficient_distance(fieldA: CoefficientField, fieldB: CoefficientField,
                          u: Law, T: float) -> float:
-    """eta-type distance int int (|sigma_A - sigma_B| + |F_A - F_B|) u dx dt."""
+    """eta-type distance int int (|sigma_A - sigma_B| + |F_A - F_B|) u dx dt,
+    read node by node: both fields and the law must share one grid."""
     g = fieldA.grid
+    if not g == fieldB.grid == u.grid:
+        raise ValueError("the fields and the law must share one grid")
     ds = np.linalg.norm(
         (fieldA.diffusion - fieldB.diffusion).reshape(g.shape + (-1,)), axis=-1
     )
@@ -487,8 +496,7 @@ def coefficient_distance(fieldA: CoefficientField, fieldB: CoefficientField,
 
 
 def _check_paths(n_paths: int) -> None:
-    """The standard errors of ``_series`` and ``cauchy_diagnostic`` need
-    two paths."""
+    """The standard error of ``_estimate`` needs two paths."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
 
@@ -520,10 +528,9 @@ def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0) -> Report:
         # alive at a time, and no pair's (N, nt) gaps while it is built
         law = Law.from_ensemble(ensembles[n])
         for m in range(n + 1, k):
-            samples = np.max(_coupled(ensembles[n], ensembles[m]),
-                             axis=1) ** p
-            esup[n, m] = esup[m, n] = samples.mean()
-            se[n, m] = se[m, n] = samples.std(ddof=1) / np.sqrt(samples.size)
+            esup[n, m], se[n, m] = _estimate(np.max(
+                _coupled(ensembles[n], ensembles[m]), axis=1) ** p)
+            esup[m, n], se[m, n] = esup[n, m], se[n, m]
             eta[n, m] = eta[m, n] = coefficient_distance(
                 ensembles[n].field, ensembles[m].field, law, T
             )

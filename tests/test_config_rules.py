@@ -199,7 +199,7 @@ CORPUS = {
         ]),
     "ae_uniqueness_map__grid_null": (
         {"scenario": "ae_uniqueness_map", "grid": None},
-        ["grid: 'NoneType' object is not subscriptable"]),
+        ["grid: must be an object"]),
     "ae_uniqueness_map__grid_other": (
         {"scenario": "ae_uniqueness_map", "grid": {"counts": [3]}},
         ["grid: cell count must be an integer >= 8, got 3"]),
@@ -244,7 +244,7 @@ CORPUS = {
         ["preset: unknown key 'bogus'; preset takes ['name', 'params']"]),
     "ae_uniqueness_map__preset_null": (
         {"scenario": "ae_uniqueness_map", "preset": None},
-        ["preset: 'NoneType' object has no attribute 'get'"]),
+        ["preset: must be an object"]),
     "ae_uniqueness_map__preset_other": (
         {"scenario": "ae_uniqueness_map", "preset": {"name": "foo"}},
         [
@@ -357,7 +357,7 @@ CORPUS = {
         ]),
     "elliptic_energy__grid_null": (
         {"scenario": "elliptic_energy", "grid": None},
-        ["grid: 'NoneType' object is not subscriptable"]),
+        ["grid: must be an object"]),
     "elliptic_energy__grid_other": (
         {"scenario": "elliptic_energy", "grid": {"counts": [3]}},
         ["grid: cell count must be an integer >= 8, got 3"]),
@@ -384,7 +384,7 @@ CORPUS = {
         ["preset: unknown key 'bogus'; preset takes ['name', 'params']"]),
     "elliptic_energy__preset_null": (
         {"scenario": "elliptic_energy", "preset": None},
-        ["preset: 'NoneType' object has no attribute 'get'"]),
+        ["preset: must be an object"]),
     "elliptic_energy__preset_other": (
         {"scenario": "elliptic_energy", "preset": {"name": "foo"}},
         [
@@ -406,7 +406,7 @@ CORPUS = {
         ["u0: unknown key 'bogus'; u0 takes ['kind', 'mean', 'std']"]),
     "elliptic_energy__u0_null": (
         {"scenario": "elliptic_energy", "u0": None},
-        ["u0: 'NoneType' object has no attribute 'get'"]),
+        ["u0: must be an object"]),
     "elliptic_energy__u0_other": (
         {
             "scenario": "elliptic_energy",
@@ -503,7 +503,7 @@ CORPUS = {
         ]),
     "kinetic_langevin__grid_null": (
         {"scenario": "kinetic_langevin", "grid": None},
-        ["grid: 'NoneType' object is not subscriptable"]),
+        ["grid: must be an object"]),
     "kinetic_langevin__grid_other": (
         {"scenario": "kinetic_langevin", "grid": {"counts": [3]}},
         ["grid: bounds/counts/periodic must match dimension"]),
@@ -521,7 +521,7 @@ CORPUS = {
         ["preset: unknown key 'bogus'; preset takes ['name', 'params']"]),
     "kinetic_langevin__preset_null": (
         {"scenario": "kinetic_langevin", "preset": None},
-        ["preset: 'NoneType' object has no attribute 'get'"]),
+        ["preset: must be an object"]),
     "kinetic_langevin__preset_other": (
         {"scenario": "kinetic_langevin", "preset": {"name": "foo"}},
         [
@@ -543,7 +543,7 @@ CORPUS = {
         ["u0: unknown key 'bogus'; u0 takes ['kind', 'mean', 'std']"]),
     "kinetic_langevin__u0_null": (
         {"scenario": "kinetic_langevin", "u0": None},
-        ["u0: 'NoneType' object has no attribute 'get'"]),
+        ["u0: must be an object"]),
     "kinetic_langevin__u0_other": (
         {
             "scenario": "kinetic_langevin",
@@ -627,7 +627,7 @@ CORPUS = {
         ]),
     "norm_audit__grid_null": (
         {"scenario": "norm_audit", "grid": None},
-        ["grid: 'NoneType' object is not subscriptable"]),
+        ["grid: must be an object"]),
     "norm_audit__grid_other": (
         {"scenario": "norm_audit", "grid": {"counts": [3]}},
         ["grid: cell count must be an integer >= 8, got 3"]),
@@ -636,7 +636,7 @@ CORPUS = {
         ["law: unknown key 'bogus'; law takes ['mean', 'std']"]),
     "norm_audit__law_null": (
         {"scenario": "norm_audit", "law": None},
-        ["law: 'NoneType' object is not subscriptable"]),
+        ["law: must be an object"]),
     "norm_audit__law_other": (
         {"scenario": "norm_audit", "law": {"std": 0.0}},
         ["law: std must be positive and finite, got 0.0"]),
@@ -660,7 +660,7 @@ CORPUS = {
         ["preset: unknown key 'bogus'; preset takes ['name', 'params']"]),
     "norm_audit__preset_null": (
         {"scenario": "norm_audit", "preset": None},
-        ["preset: 'NoneType' object has no attribute 'get'"]),
+        ["preset: must be an object"]),
     "norm_audit__preset_other": (
         {"scenario": "norm_audit", "preset": {"name": "foo"}},
         [
@@ -851,7 +851,7 @@ CORPUS = {
         ]),
     "stationary_1d__grid_null": (
         {"scenario": "stationary_1d", "grid": None},
-        ["grid: 'NoneType' object is not subscriptable"]),
+        ["grid: must be an object"]),
     "stationary_1d__grid_other": (
         {"scenario": "stationary_1d", "grid": {"counts": [3]}},
         ["grid: cell count must be an integer >= 8, got 3"]),
@@ -869,7 +869,7 @@ CORPUS = {
         ["preset: unknown key 'bogus'; preset takes ['name', 'params']"]),
     "stationary_1d__preset_null": (
         {"scenario": "stationary_1d", "preset": None},
-        ["preset: 'NoneType' object has no attribute 'get'"]),
+        ["preset: must be an object"]),
     "stationary_1d__preset_other": (
         {"scenario": "stationary_1d", "preset": {"name": "foo"}},
         [
@@ -900,7 +900,7 @@ CORPUS = {
         ["u0: unknown key 'bogus'; u0 takes ['kind', 'mean', 'std']"]),
     "stationary_1d__u0_null": (
         {"scenario": "stationary_1d", "u0": None},
-        ["u0: 'NoneType' object has no attribute 'get'"]),
+        ["u0: must be an object"]),
     "stationary_1d__u0_other": (
         {"scenario": "stationary_1d", "u0": {"kind": "spike", "mean": 1.0}},
         ["u0: unknown key 'mean'; u0 takes ['kind', 'position']"]),
@@ -928,22 +928,13 @@ CORPUS = {
         ["T: must be a finite positive number"]),
     "thm_1d_convergence__block_eps_bad": (
         {"scenario": "thm_1d_convergence", "block_eps": [1.0]},
-        [
-            "block_eps: dyadic_eps_schedule() missing 1 required "
-            "positional argument: 'eps_max'",
-        ]),
+        ["block_eps: must be a list of two finite numbers"]),
     "thm_1d_convergence__block_eps_null": (
         {"scenario": "thm_1d_convergence", "block_eps": None},
-        [
-            "block_eps: sdelab.sde.dyadic_eps_schedule() argument after "
-            "* must be an iterable, not NoneType",
-        ]),
+        ["block_eps: must be a list of two finite numbers"]),
     "thm_1d_convergence__block_eps_other": (
         {"scenario": "thm_1d_convergence", "block_eps": "x"},
-        [
-            "block_eps: dyadic_eps_schedule() missing 1 required "
-            "positional argument: 'eps_max'",
-        ]),
+        ["block_eps: must be a list of two finite numbers"]),
     "thm_1d_convergence__deltas_bad": (
         {"scenario": "thm_1d_convergence", "deltas": [-1.0]},
         [
@@ -979,7 +970,7 @@ CORPUS = {
         ]),
     "thm_1d_convergence__grid_null": (
         {"scenario": "thm_1d_convergence", "grid": None},
-        ["grid: 'NoneType' object is not subscriptable"]),
+        ["grid: must be an object"]),
     "thm_1d_convergence__grid_other": (
         {"scenario": "thm_1d_convergence", "grid": {"counts": [3]}},
         ["grid: cell count must be an integer >= 8, got 3"]),
@@ -1021,7 +1012,7 @@ CORPUS = {
         ["preset: unknown key 'bogus'; preset takes ['name', 'params']"]),
     "thm_1d_convergence__preset_null": (
         {"scenario": "thm_1d_convergence", "preset": None},
-        ["preset: 'NoneType' object has no attribute 'get'"]),
+        ["preset: must be an object"]),
     "thm_1d_convergence__preset_other": (
         {"scenario": "thm_1d_convergence", "preset": {"name": "foo"}},
         [
@@ -1103,7 +1094,7 @@ CORPUS = {
         ]),
     "thm_multidim_convergence__grid_null": (
         {"scenario": "thm_multidim_convergence", "grid": None},
-        ["grid: 'NoneType' object is not subscriptable"]),
+        ["grid: must be an object"]),
     "thm_multidim_convergence__grid_other": (
         {"scenario": "thm_multidim_convergence", "grid": {"counts": [3]}},
         ["grid: bounds/counts/periodic must match dimension"]),
@@ -1145,7 +1136,7 @@ CORPUS = {
         ["preset: unknown key 'bogus'; preset takes ['name', 'params']"]),
     "thm_multidim_convergence__preset_null": (
         {"scenario": "thm_multidim_convergence", "preset": None},
-        ["preset: 'NoneType' object has no attribute 'get'"]),
+        ["preset: must be an object"]),
     "thm_multidim_convergence__preset_other": (
         {"scenario": "thm_multidim_convergence", "preset": {"name": "foo"}},
         [
@@ -1350,6 +1341,20 @@ CORPUS = {
             "grid: cell count must be an integer >= 8, got 3",
             "u0: unknown key 'bogus'; u0 takes ['kind', 'mean', 'std']",
         ]),
+    # a config object given as another value, and a block_eps that is not
+    # a pair: each is its key's rule error, not a builder's Python message
+    "non_object__grid_number": (
+        {"scenario": "stationary_1d", "grid": 5},
+        ["grid: must be an object"]),
+    "non_object__u0_string": (
+        {"scenario": "kinetic_langevin", "u0": "x"},
+        ["u0: must be an object"]),
+    "non_object__law_list": (
+        {"scenario": "norm_audit", "law": []},
+        ["law: must be an object"]),
+    "block_eps_three_numbers": (
+        {"scenario": "thm_1d_convergence", "block_eps": [0.1, 0.2, 0.3]},
+        ["block_eps: must be a list of two finite numbers"]),
 }
 
 
@@ -1359,3 +1364,12 @@ def test_bad_config_keeps_its_error_texts(case):
     with pytest.raises(ConfigError) as exc:
         validate_config(cfg)
     assert sorted(exc.value.errors) == errors
+
+
+@pytest.mark.parametrize("case", [
+    "non_object__grid_number", "non_object__u0_string",
+    "non_object__law_list", "block_eps_three_numbers",
+    "thm_1d_convergence__block_eps_null", "norm_audit__preset_null",
+])
+def test_a_non_object_or_a_malformed_block_eps_exits_2(case, tmp_path, capsys):
+    _rejected(*CORPUS[case], tmp_path, capsys)

@@ -147,6 +147,12 @@ CASES = [
      lambda: sl.h1_norm(np.ones(PLANE.shape), _plane_law(), 1.0,
                         method="pathwise", ensemble=_ensembles(PLANE)[0]),
      "pathwise estimators are one-dimensional"),
+    ("norms.pathwise_one_path",
+     lambda: sl.h1_norm(np.ones(65), sl.Law.gaussian(LINE, [0.0]), 0.1,
+                        method="pathwise", ensemble=sde.simulate_ensemble(
+                            sl.preset_field("ou", {}, LINE), 0.0, 0.1,
+                            _store(1, 1))),
+     "need at least 2 paths for a standard error"),
     ("norms.h_half_2d",
      lambda: sl.h_half_norm(np.ones(PLANE.shape), _plane_law(), 1.0),
      "h_half_norm is one-dimensional"),
@@ -154,6 +160,13 @@ CASES = [
     ("runner.seed",
      lambda: runner.validate_config({"scenario": "norm_audit", "seed": -1}),
      "seed: must be a nonnegative integer"),
+    ("runner.non_object",
+     lambda: runner.validate_config({"scenario": "norm_audit", "grid": 5}),
+     "grid: must be an object"),
+    ("runner.block_eps",
+     lambda: runner.validate_config({"scenario": "thm_1d_convergence",
+                                     "block_eps": [0.1]}),
+     "block_eps: must be a list of two finite numbers"),
     # sde
     ("sde.noise_dimension",
      lambda: sde.simulate_ensemble(sl.preset_field("ou", {}, LINE), 0.0, 0.1,
@@ -166,6 +179,15 @@ CASES = [
     ("sde.recording_grid",
      lambda: sde.q_functional(_ensembles()[0], _ensembles(LINE, 2)[1], 0.1),
      "ensembles must share the recording time grid"),
+    ("sde.path_counts",
+     lambda: sde.q_functional(_ensembles()[0], sde.simulate_ensemble(
+         sl.preset_field("ou", {}, LINE), 0.0, 0.1, _store().prefix(2)), 0.1),
+     "ensembles must have the same number of paths (4 and 2)"),
+    ("sde.eta_grids",
+     lambda: sde.coefficient_distance(sl.preset_field("ou", {}, LINE),
+                                      sl.preset_field("ou", {}, RING),
+                                      sl.Law.gaussian(LINE, [0.0]), 1.0),
+     "the fields and the law must share one grid"),
     ("sde.q_tilde_2d",
      lambda: sde.q_tilde_functional(*_ensembles(PLANE), 0.1,
                                     np.zeros(PLANE.shape)),
