@@ -43,7 +43,6 @@ from .maxops import (  # noqa: F401
 )
 from .norms import (  # noqa: F401
     NormValue,
-    PhiWeight,
     h1_norm,
     h_half_norm,
     holder_domination_check,

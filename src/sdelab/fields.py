@@ -9,7 +9,7 @@ box a field is extended periodically or by its edge value, per axis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -130,14 +130,11 @@ class CoefficientField:
     """Drift F and diffusion sigma sampled on grid nodes (autonomous).
 
     drift has shape grid.shape + (d,), diffusion grid.shape + (d, r).
-    ``provenance`` records the preset name, its parameters and the
-    mollification scale delta (0 means unmollified).
     """
 
     grid: Grid
     drift: np.ndarray
     diffusion: np.ndarray
-    provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         d = self.grid.d
@@ -259,9 +256,7 @@ def preset_field(name: str, params: dict | None, grid: Grid) -> CoefficientField
     for key in ("kappa", "temp"):
         if used.get(key, 0.0) < 0:
             raise ValueError(f"{key} must be >= 0")
-    drift, diffusion = build(grid, **used)
-    prov = {"name": name, "params": used, "delta": 0.0}
-    return CoefficientField(grid, drift, diffusion, prov)
+    return CoefficientField(grid, *build(grid, **used))
 
 
 @dataclass(frozen=True)
@@ -377,9 +372,7 @@ def mollify_array(values: np.ndarray, grid: Grid, delta: float) -> np.ndarray:
 
 
 def mollify(field: CoefficientField, delta: float) -> CoefficientField:
-    """Smooth drift and diffusion at scale delta; provenance records delta."""
+    """Smooth drift and diffusion at scale delta."""
     drift = mollify_array(field.drift, field.grid, delta)
     diffusion = mollify_array(field.diffusion, field.grid, delta)
-    prov = dict(field.provenance)
-    prov["delta"] = float(delta)
-    return replace(field, drift=drift, diffusion=diffusion, provenance=prov)
+    return CoefficientField(field.grid, drift, diffusion)

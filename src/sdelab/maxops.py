@@ -254,12 +254,8 @@ def gradient_magnitude(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    kind: str
-    pairs_tested: int
     violations: int
     worst_ratio: float
-    worst_pair: tuple
-    tolerance: float
 
 
 def sample_pairs(grid: Grid, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,12 +332,5 @@ def check_pointwise_bound(
     # fields under kind='classic') score exactly 1
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(base > 0, lhs / (0.5 * base), np.where(lhs > 0, np.inf, 0.0))
-    w = int(np.argmax(ratios))
-    return ViolationReport(
-        kind=kind,
-        pairs_tested=int(i.size),
-        violations=int(np.count_nonzero(bad)),
-        worst_ratio=float(ratios[w]),
-        worst_pair=(float(x[i[w]]), float(x[j[w]])),
-        tolerance=float(tau),
-    )
+    return ViolationReport(violations=int(np.count_nonzero(bad)),
+                           worst_ratio=float(np.max(ratios)))

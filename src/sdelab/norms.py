@@ -23,7 +23,6 @@ from .sde import _estimate, path_time_integrals
 
 __all__ = [
     "NormValue",
-    "PhiWeight",
     "h1_norm",
     "w11_norm",
     "wphi_weak_norm",
@@ -44,32 +43,16 @@ class NormValue(Serialisable):
     argmax_L: float | None = None
 
 
-@dataclass(frozen=True)
-class PhiWeight:
-    """Super-linear weight phi for the weak drift norm.
+def _phi_weight(L):
+    """phi(L)/(L log L) for the super-linear weight phi(L) = L sqrt(1 + log L)
+    of the weak drift norm.
 
-    The default phi(L) = L*sqrt(1+log L) keeps the sup finite despite the
-    additive sqrt(log L) inside M_L; with phi(L) = L log L that additive term
-    alone makes the sup infinite for every drift.
+    This phi keeps the sup finite despite the additive sqrt(log L) inside
+    M_L; with phi(L) = L log L that additive term alone makes the sup
+    infinite for every drift.
     """
-
-    fn: callable
-
-    def __call__(self, L):
-        return self.fn(np.asarray(L, dtype=float))
-
-    def weight(self, L):
-        L = np.asarray(L, dtype=float)
-        return self.fn(L) / (L * np.log(L))
-
-    @classmethod
-    def default(cls) -> "PhiWeight":
-        return cls(lambda L: L * np.sqrt(1.0 + np.log(L)))
-
-    def check_superlinear(self, L_grid) -> None:
-        ratio = self(L_grid) / np.asarray(L_grid, dtype=float)
-        if np.any(np.diff(ratio) < -1e-12):
-            raise ValueError("phi(L)/L must be nondecreasing along the grid")
+    L = np.asarray(L, dtype=float)
+    return L * np.sqrt(1.0 + np.log(L)) / (L * np.log(L))
 
 
 def _as_components(values, grid: Grid) -> np.ndarray:
@@ -100,6 +83,8 @@ def _sqrt_norm(kind, w, u: Law, T: float, method: str, ensemble) -> NormValue:
         raise ValueError("pathwise method needs an ensemble")
     elif ensemble.grid.d != 1:
         raise ValueError("pathwise estimators are one-dimensional")
+    elif ensemble.grid != u.grid:
+        raise ValueError("the ensemble and the law must share one grid")
     else:
         keep = _stamps_through(ensemble.times, T)
         total, se = _estimate(path_time_integrals(
@@ -131,8 +116,7 @@ def w11_norm(values, u: Law, T: float) -> NormValue:
 
 def _l_grid(L_grid) -> tuple:
     """``wphi_weak_norm``'s L grid: e^1 .. e^8 by default; a given grid must
-    be finite, start at or above L = e and keep phi(L)/L nondecreasing for
-    the default phi."""
+    be finite, start at or above L = e and keep phi(L)/L nondecreasing."""
     if L_grid is None:
         L_grid = tuple(np.exp(np.arange(1, 9)))
     L_grid = tuple(float(L) for L in L_grid)
@@ -140,15 +124,16 @@ def _l_grid(L_grid) -> tuple:
         raise ValueError("L grid must be finite")
     if min(L_grid) < np.e - 1e-9:
         raise ValueError("L grid must start at or above L = e")
-    PhiWeight.default().check_superlinear(L_grid)
+    L = np.asarray(L_grid, dtype=float)
+    if np.any(np.diff(L * np.sqrt(1.0 + np.log(L)) / L) < -1e-12):
+        raise ValueError("phi(L)/L must be nondecreasing along the grid")
     return L_grid
 
 
 def wphi_weak_norm(values, u: Law, T: float, L_grid=None) -> NormValue:
     """sup over the L grid of phi(L)/(L log L) * int int (|F|+M_L|grad F|) u,
-    with the default phi(L) = L sqrt(1 + log L) (``PhiWeight.default``)."""
+    with phi(L) = L sqrt(1 + log L) (``_phi_weight``)."""
     _check_law(values, u, T)
-    phi = PhiWeight.default()
     L_grid = _l_grid(L_grid)
     comp = _as_components(values, u.grid)
     mag = np.sqrt(_sq_mag(comp))
@@ -156,7 +141,7 @@ def wphi_weak_norm(values, u: Law, T: float, L_grid=None) -> NormValue:
     vals = []
     for L in L_grid:
         integrand = mag + maximal_modified(gmag, u.grid, L)
-        vals.append(phi.weight(L) * u.time_integral(integrand, T))
+        vals.append(_phi_weight(L) * u.time_integral(integrand, T))
     k = int(np.argmax(vals))
     return NormValue("WphiWeak", float(vals[k]), "quadrature", T,
                      L_grid=L_grid, argmax_L=L_grid[k])

@@ -155,15 +155,9 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.paths.shape[0]
 
-    def interp_values(self, grid_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Linear interpolation of a 1-D grid function at path positions."""
-        return _interpolate(grid_values, self.grid, x[..., None])
-
 
 @dataclass(frozen=True)
 class FunctionalSeries:
-    kind: str
-    params: dict
     times: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
@@ -422,20 +416,19 @@ def _estimate(samples: np.ndarray):
             samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0]))
 
 
-def _pair_series(kind, ensA: PathEnsemble, ensB: PathEnsemble, eps: float,
+def _pair_series(ensA: PathEnsemble, ensB: PathEnsemble, eps: float,
                  samples) -> FunctionalSeries:
     """The series of ``samples(delta)`` over the coupled pair's gaps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     delta = _coupled(ensA, ensB)
-    return FunctionalSeries(kind, {"eps": eps}, ensA.times,
-                            *_estimate(samples(delta)))
+    return FunctionalSeries(ensA.times, *_estimate(samples(delta)))
 
 
 def q_functional(ensA: PathEnsemble, ensB: PathEnsemble,
                  eps: float) -> FunctionalSeries:
     """E log(1 + |Delta_t|^2 / eps^2) per recorded stamp."""
-    return _pair_series("Q", ensA, ensB, eps,
+    return _pair_series(ensA, ensB, eps,
                         lambda delta: np.log1p((delta / eps) ** 2))
 
 
@@ -451,13 +444,13 @@ def q_tilde_functional(ensA: PathEnsemble, ensB: PathEnsemble, eps: float,
         raise ValueError("q_tilde is one-dimensional")
 
     def samples(delta):
-        lam = 4.0 * (ensA.interp_values(h_tilde, ensA.paths[..., 0])
-                     + ensB.interp_values(h_tilde, ensB.paths[..., 0]))
+        lam = 4.0 * (_interpolate(h_tilde, ensA.grid, ensA.paths)
+                     + _interpolate(h_tilde, ensA.grid, ensB.paths))
         U = np.zeros_like(lam)
         U[:, 1:] = np.cumsum(0.5 * (lam[:, 1:] + lam[:, :-1])
                              * np.diff(ensA.times), axis=1)
         return np.exp(-U) * delta * np.log1p((delta / eps) ** 2)
-    return _pair_series("Qtilde", ensA, ensB, eps, samples)
+    return _pair_series(ensA, ensB, eps, samples)
 
 
 def _smoothstep(s):
@@ -474,7 +467,7 @@ def plateau_bump(x, eps: float):
 def l_eps_functional(ensA: PathEnsemble, ensB: PathEnsemble,
                      eps: float) -> FunctionalSeries:
     """E[L_eps(Delta_t)] per stamp for the plateau cutoff ``plateau_bump``."""
-    return _pair_series("L_eps[plateau]", ensA, ensB, eps,
+    return _pair_series(ensA, ensB, eps,
                         lambda delta: plateau_bump(delta, eps))
 
 
@@ -518,6 +511,8 @@ def cauchy_diagnostic(ensembles: list[PathEnsemble], p: float = 2.0) -> Report:
     """
     _check_cauchy(len(ensembles), p)
     _check_paths(ensembles[0].n_paths)
+    if any(e.grid != ensembles[0].grid for e in ensembles):
+        raise ValueError("the fields and the law must share one grid")
     k = len(ensembles)
     esup = np.zeros((k, k))
     se = np.zeros((k, k))

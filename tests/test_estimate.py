@@ -2,7 +2,8 @@
 its standard error for Q, Q~, L_eps, the Cauchy matrix and the pathwise
 norms, bit for bit the three reductions it replaces. The pair gate
 ``sde._coupled`` and the eta distance reject what they cannot read: two
-path counts, two grids, and a pathwise norm of one path."""
+path counts, two grids, and a pathwise norm of one path or of an ensemble
+on another grid than its law's."""
 
 import numpy as np
 import pytest
@@ -118,6 +119,39 @@ def test_eta_across_grids_raises():
     with pytest.raises(ValueError,
                        match="the fields and the law must share one grid"):
         cauchy_diagnostic(ensembles)
+
+
+def test_a_cauchy_family_across_grids_builds_no_law(monkeypatch):
+    """Three members on [-4, 4] and one on [-6, 6]: the family is rejected
+    before the law of its first member is built."""
+    built = []
+    real = Law.from_ensemble
+    monkeypatch.setattr(Law, "from_ensemble",
+                        lambda ens: built.append(ens) or real(ens))
+    store = BrownianStore.generate(3, 20, 64, 1.0 / 128)
+    members = [_scaled(preset_field("ou", {}, make_grid(1, b, 64)), c)
+               for b, c in (((-4.0, 4.0), 1.0), ((-4.0, 4.0), 0.9),
+                            ((-4.0, 4.0), 0.8), ((-6.0, 6.0), 0.7))]
+    ensembles = [simulate_ensemble(f, 0.0, 0.5, store) for f in members]
+    with pytest.raises(ValueError,
+                       match="the fields and the law must share one grid"):
+        cauchy_diagnostic(ensembles)
+    assert built == []
+
+
+def test_a_pathwise_norm_on_another_grid_raises():
+    """The weight lives on the law's grid and is read along the paths on
+    the ensemble's: another box of as many cells gave a wrong value, and
+    another cell count a numpy reshape error."""
+    store = BrownianStore.generate(5, 50, 128, 1.0 / 128)
+    ou = preset_field("ou", {}, make_grid(1, (-6.0, 6.0), 1024))
+    law = Law.from_ensemble(simulate_ensemble(ou, 0.0, 1.0, store))
+    for grid in (make_grid(1, (-4.0, 4.0), 1024),
+                 make_grid(1, (-6.0, 6.0), 512)):
+        ens = simulate_ensemble(preset_field("ou", {}, grid), 0.0, 1.0, store)
+        with pytest.raises(ValueError,
+                           match="the ensemble and the law must share one grid"):
+            h1_norm(ou.drift, law, 1.0, method="pathwise", ensemble=ens)
 
 
 def test_eta_across_node_counts_raises():

@@ -167,15 +167,16 @@ def test_interp_values_on_path_arrays():
     g = ens.grid
     values = np.cos(g.nodes(0))
     x = ens.paths[..., 0]
-    got = ens.interp_values(values, x)
+    got = _interpolate(values, g, x[..., None])
     assert got.shape == x.shape
     assert np.allclose(got, np.interp(x, g.nodes(0), values), rtol=0, atol=1e-14)
-    assert np.array_equal(ens.interp_values(values, x[:, :1])[:, 0], got[:, 0])
+    assert np.array_equal(_interpolate(values, g, x[:, :1][..., None])[:, 0],
+                          got[:, 0])
     # a boolean stamp selection gives column-major positions; the values keep
     # that layout, so per-path sums over them add in the same order
     xf = ens.paths[:, ens.times <= 0.5, 0]
     assert xf.flags.f_contiguous and not xf.flags.c_contiguous
-    assert ens.interp_values(values, xf).flags.f_contiguous
+    assert _interpolate(values, g, xf[..., None]).flags.f_contiguous
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, "per_path", "component"])

@@ -53,8 +53,6 @@ def test_preset_names_all_build(grid1d, grid2d):
         g = grid2d if name == "kinetic_langevin" else grid1d
         f = preset_field(name, {}, g)
         assert f.drift.shape == g.shape + (g.d,)
-        assert f.provenance["name"] == name
-        assert f.provenance["delta"] == 0.0
 
 
 def test_preset_rejects_unknown_name_and_params(grid1d):
@@ -133,7 +131,6 @@ def test_mollification_smooths_the_kink(grid1d):
     slope = np.abs(np.diff(f.diffusion[:, 0, 0])) / h
     slope_m = np.abs(np.diff(fm.diffusion[:, 0, 0])) / h
     assert slope_m.max() < slope.max()
-    assert fm.provenance["delta"] == 0.25
     # sup norm never grows under unit-mass averaging
     assert fm.sup_diffusion <= f.sup_diffusion + 1e-12
 

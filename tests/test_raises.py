@@ -135,7 +135,7 @@ CASES = [
      "L must be >= 1"),
     # norms
     ("norms.superlinear",
-     lambda: norms.PhiWeight(np.sqrt).check_superlinear((3.0, 9.0)),
+     lambda: norms._l_grid((20.0, 10.0)),
      "phi(L)/L must be nondecreasing along the grid"),
     ("norms.grids",
      lambda: sl.h1_norm(np.ones(9), sl.Law.gaussian(LINE, [0.0]), 1.0),
@@ -153,6 +153,10 @@ CASES = [
                             sl.preset_field("ou", {}, LINE), 0.0, 0.1,
                             _store(1, 1))),
      "need at least 2 paths for a standard error"),
+    ("norms.pathwise_grid",
+     lambda: sl.h1_norm(np.ones(65), sl.Law.gaussian(LINE, [0.0]), 0.1,
+                        method="pathwise", ensemble=_ensembles(RING)[0]),
+     "the ensemble and the law must share one grid"),
     ("norms.h_half_2d",
      lambda: sl.h_half_norm(np.ones(PLANE.shape), _plane_law(), 1.0),
      "h_half_norm is one-dimensional"),
@@ -201,6 +205,10 @@ CASES = [
     ("sde.cauchy_members",
      lambda: sde.cauchy_diagnostic([*_ensembles(), _ensembles()[0]]),
      "need a family of at least 4 coupled ensembles"),
+    ("sde.cauchy_grids",
+     lambda: sde.cauchy_diagnostic([*_ensembles(), _ensembles()[0],
+                                    _ensembles(RING)[0]]),
+     "the fields and the law must share one grid"),
     ("sde.uniqueness_2d",
      lambda: sde.uniqueness_map([0.0], *[sl.preset_field("ou", {}, PLANE)] * 2,
                                 [0.1], 0.1, 2, _store(2)),

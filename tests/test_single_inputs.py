@@ -5,7 +5,7 @@ Gaussian profile and the config merge.
 body for any dimension. The oracles below are the per-branch
 ``preset_field`` and the separate 1-D and 2-D tap bodies that the table and
 the one body replaced, kept on the test side only: the new code must give
-the same arrays, provenance and errors. The ``u0`` Gaussian of the PDE
+the same arrays and errors. The ``u0`` Gaussian of the PDE
 scenarios is ``Law.gaussian``'s profile with ``Law.gaussian``'s checks, and
 a config object given for an object default merges over it.
 """
@@ -57,8 +57,7 @@ def _preset_oracle(name, params, grid):
         drift = np.stack([v, -beta * _clip_abs(x) * np.sign(x)], axis=-1)
         diffusion = np.zeros(grid.shape + (2, 1))
         diffusion[..., 1, 0] = np.sqrt(2.0 * temp)
-        prov = {"name": name, "params": {"beta": beta, "temp": temp}, "delta": 0.0}
-        return CoefficientField(grid, drift, diffusion, prov)
+        return CoefficientField(grid, drift, diffusion)
     if name in ("ou", "heat"):
         if params:
             raise ValueError(f"unexpected parameters {sorted(params)}")
@@ -67,8 +66,7 @@ def _preset_oracle(name, params, grid):
         drift = -pts if name == "ou" else np.zeros_like(pts)
         diffusion = np.broadcast_to(
             scale * np.eye(grid.d), grid.shape + (grid.d, grid.d)).copy()
-        prov = {"name": name, "params": {}, "delta": 0.0}
-        return CoefficientField(grid, drift, diffusion, prov)
+        return CoefficientField(grid, drift, diffusion)
     if grid.d != 1:
         raise ValueError(f"preset {name!r} is one-dimensional")
     x = grid.nodes(0)
@@ -78,21 +76,18 @@ def _preset_oracle(name, params, grid):
             raise ValueError(f"unexpected parameters {sorted(params)}")
         if kappa < 0:
             raise ValueError("kappa must be >= 0")
-        F, sig, used = np.zeros_like(x), np.sqrt(_clip_abs(x) + kappa), \
-            {"kappa": kappa}
+        F, sig = np.zeros_like(x), np.sqrt(_clip_abs(x) + kappa)
     elif name == "kink_drift":
         beta = float(params.pop("beta", 1.0))
         sigma0 = float(params.pop("sigma", 1.0))
         if params:
             raise ValueError(f"unexpected parameters {sorted(params)}")
-        F, sig, used = beta * _clip_abs(x) * np.sign(x), np.full_like(x, sigma0), \
-            {"beta": beta, "sigma": sigma0}
+        F, sig = beta * _clip_abs(x) * np.sign(x), np.full_like(x, sigma0)
     else:
         if params:
             raise ValueError(f"unexpected parameters {sorted(params)}")
-        F, sig, used = np.zeros_like(x), _clip_abs(x), {}
-    prov = {"name": name, "params": used, "delta": 0.0}
-    return CoefficientField(grid, F[:, None], sig[:, None, None], prov)
+        F, sig = np.zeros_like(x), _clip_abs(x)
+    return CoefficientField(grid, F[:, None], sig[:, None, None])
 
 
 def _taps_1d_oracle(moll, h):
@@ -152,8 +147,6 @@ def test_preset_table_equals_the_per_branch_presets(inputs):
     assert np.array_equal(got.drift, want.drift)
     assert np.array_equal(got.diffusion, want.diffusion)
     assert np.array_equal(np.signbit(got.drift), np.signbit(want.drift))
-    assert got.provenance == want.provenance
-    assert list(got.provenance["params"]) == list(want.provenance["params"])
 
 
 def test_preset_names_keep_their_order():

@@ -1,10 +1,10 @@
 """Print the size of sdelab's code and of its settable surface.
 
-Three parts, each computed from the source text alone (``ast``; nothing is
+Four parts, each computed from the source text alone (``ast``; nothing is
 imported, so numpy need not be installed):
 
-- the lines of every module under ``src/sdelab`` and their total;
-- the settable values: the parameters of every callable a module lists in
+- per module under ``src/sdelab`` and in total, the lines and the settable
+  values: the parameters of every callable a module lists in
   its ``__all__`` (functions, and for a class its constructor plus the
   public methods it defines itself, static and class methods included;
   ``self`` and ``cls`` excluded), with the number that have a default. A
@@ -17,7 +17,16 @@ imported, so numpy need not be installed):
   name's own definition (its whole body). A method is read only as an
   attribute (``x.mass``); a module-level name as a loaded name or as an
   attribute (``sl.coarsen``). Docstrings, comments, strings, import
-  statements and ``__all__`` lists read nothing.
+  statements and ``__all__`` lists read nothing;
+- the stored fields without a reader: each dataclass field, and each
+  ``self.`` attribute an ``__init__`` sets, of the classes under
+  ``src/sdelab`` that are not ``report.Serialisable`` (whose fields
+  ``_jsonable`` writes), that no code under ``src``, ``tools`` or
+  ``perfbench`` reads as an attribute of any object (``x.field``, loaded or
+  updated) or through ``getattr`` with a constant name. Reads are matched by
+  name alone, so a field that shares its name with a read one is missed
+  (``PathEnsemble.dt`` with ``BrownianStore.dt``), but no read field is
+  listed.
 
 Run ``python3 tools/surface_count.py [--src DIR]``; ``--src`` (default:
 this checkout's ``src``) is the source directory to count, so two trees
@@ -150,6 +159,58 @@ def uncalled(src: Path) -> list:
     return sorted(out)
 
 
+def _serialisable(node: ast.ClassDef, classes: dict) -> bool:
+    """Whether ``report.Serialisable`` is among the class's bases, at any
+    depth."""
+    names = [b.id for b in node.bases if isinstance(b, ast.Name)]
+    return "Serialisable" in names or any(
+        _serialisable(classes[n], classes) for n in names if n in classes)
+
+
+def _stored(node: ast.ClassDef, classes: dict) -> set:
+    """The class's dataclass fields and the ``self.`` attributes its
+    ``__init__`` sets."""
+    out = {name for name, _ in _fields(node, classes)}
+    for init in node.body:
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+            out |= {t.attr for t in ast.walk(init)
+                    if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                    and isinstance(t.value, ast.Name) and t.value.id == "self"}
+    return out
+
+
+def _field_reads(path: Path) -> set:
+    """The attribute names a file's code reads: loaded or updated
+    attributes, and constant names given to ``getattr``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            out.add(node.target.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant):
+            out.add(node.args[1].value)
+    return out
+
+
+def unread(src: Path) -> list:
+    """``module.Class.field`` of the stored fields without a reader (see
+    the module docstring), sorted."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted((src / "sdelab").glob("*.py"))}
+    classes = {n.name: n for t in trees.values() for n in t.body
+               if isinstance(n, ast.ClassDef)}
+    reads = set().union(*(_field_reads(path) for root in (
+        src, src.parent / "tools", src.parent / "perfbench")
+        for path in sorted(root.rglob("*.py"))))
+    return sorted(f"{path.stem}.{node.name}.{name}"
+                  for path, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and not _serialisable(node, classes)
+                  for name in _stored(node, classes) if name not in reads)
+
+
 def _leaves(value, prefix="") -> list:
     if isinstance(value, dict) and value:
         return [leaf for k, v in value.items()
@@ -192,6 +253,9 @@ def main(argv=None) -> int:
         print(f"  {name} ({len(keys)}): {', '.join(keys)}")
     print("public names without a caller in src, tools or perfbench:")
     for qualname in uncalled(args.src):
+        print(f"  {qualname}")
+    print("stored fields without a reader in src, tools or perfbench:")
+    for qualname in unread(args.src):
         print(f"  {qualname}")
     return 0
 
